@@ -22,10 +22,10 @@
 //
 // --trace=DIR additionally records every (cell, repetition) as a binary
 // event trace (DIR/cell-CCCCC-rep-RRRRRR.cctrace) for offline replay
-// with trace_tool; recording never changes the campaign's results.
-// The directory is created but never cleared — record different
-// campaigns into different directories (trace_tool replay-stats rejects
-// mixed recordings).
+// with `trace_tool query --dir=DIR --agg=delay`; recording never changes
+// the campaign's results.  The directory is created but never cleared —
+// record different campaigns into different directories (the delay
+// aggregation rejects mixed recordings).
 //
 // Fleet-scale serving (src/serve/):
 //   --cache=DIR           consult/fill a content-addressed result cache;

@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the library's hot paths: the
 // discrete-event engine, the DCF simulator, the probe-train repetition,
 // the exp:: campaign engine, the KS statistic, MSER, the trace-driven
-// FIFO queue, and the event-trace codec (write + replay-read
+// FIFO queue, and the event-trace codec (write + mapped-scan
 // throughput).  These bound the cost of scaling the figure ensembles up
 // to the paper's 25k-70k repetitions.
 //
@@ -16,6 +16,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <filesystem>
@@ -39,7 +40,6 @@
 #include "trace/query/engine.hpp"
 #include "trace/query/mapped.hpp"
 #include "trace/query/predicate.hpp"
-#include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "traffic/flow_meter.hpp"
@@ -124,20 +124,27 @@ void BM_MediumContention(benchmark::State& state) {
 }
 BENCHMARK(BM_MediumContention)->Arg(2)->Arg(5)->Arg(10);
 
-void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo) {
+void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo,
+                            std::int64_t declared_frames) {
   // Saturated burst over a conflict-graph medium: every station dumps a
   // queue at t=1ms and the run drains it through fire/advance — the
   // spatial generalization of the Medium hot path, including the
   // clique-reduction case (clique10 builds ConflictGraphMedium
   // directly; production clique scenarios route to mac::Medium, so the
   // graph path needs its own gate).
+  //
+  // Items are successful frames.  The drain is deterministic, so each
+  // row declares its success count and fails when a run disagrees.  The
+  // count never passes through DoNotOptimize(T&): with GCC and
+  // google-benchmark 1.7.1 that overload's "+r,m" asm constraint
+  // corrupted the value the items were derived from.
   const int n = topo.num_nodes();
   const auto factory = [&topo](sim::Simulator& sim,
                                const mac::PhyParams& phy)
       -> std::unique_ptr<mac::MediumBase> {
     return std::make_unique<topo::ConflictGraphMedium>(sim, phy, topo);
   };
-  std::uint64_t frames = 0;
+  std::int64_t frames = 0;
   for (auto _ : state) {
     mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 21, factory);
     for (int i = 0; i < n; ++i) {
@@ -153,23 +160,33 @@ void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo) {
       });
     }
     net.simulator().run_until(TimeNs::sec(60));
-    frames = net.medium().stats().successes;
-    benchmark::DoNotOptimize(frames);
+    const auto successes =
+        static_cast<std::int64_t>(net.medium().stats().successes);
+    if (successes != declared_frames) {
+      state.SkipWithError(("drained " + std::to_string(successes) +
+                           " frames, the row declares " +
+                           std::to_string(declared_frames))
+                              .c_str());
+      break;
+    }
+    frames += successes;
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(frames));
+  state.counters["frames"] = benchmark::Counter(
+      static_cast<double>(frames), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(frames);
 }
-BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid9, topo::Topology::grid(3, 3));
-BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid25,
-                  topo::Topology::grid(5, 5));
+BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid9, topo::Topology::grid(3, 3),
+                  341);
+BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid25, topo::Topology::grid(5, 5),
+                  874);
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, clique10,
-                  topo::Topology::clique(10));
+                  topo::Topology::clique(10), 400);
 // The lattice-scaling gates: per-event cost must stay O(degree log N),
 // so items/s may not collapse as the grid grows past 1k stations.
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid1024,
-                  topo::Topology::grid(32, 32));
+                  topo::Topology::grid(32, 32), 26886);
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid4096,
-                  topo::Topology::grid(64, 64));
+                  topo::Topology::grid(64, 64), 102954);
 
 void BM_ProbeTrainRepetition(benchmark::State& state) {
   core::ScenarioConfig cfg;
@@ -394,42 +411,13 @@ std::filesystem::path write_bench_trace(const char* name, int n) {
   return path;
 }
 
-void BM_TraceReplayRead(benchmark::State& state) {
-  // The production replay read path (replay_train_file and friends):
-  // ifstream-backed TraceReader streaming events off disk one next()
-  // call at a time.  Every byte crosses two buffers (kernel -> stream
-  // -> page buffer) and every event pays an out-of-line call.
-  const int n = static_cast<int>(state.range(0));
-  const std::filesystem::path path =
-      write_bench_trace("csmabw-bench-replay.cctrace", n);
-  const auto bytes =
-      static_cast<std::int64_t>(std::filesystem::file_size(path));
-  for (auto _ : state) {
-    trace::TraceReader reader(path.string());
-    trace::TraceEvent e;
-    std::uint64_t decoded = 0;
-    while (reader.next(&e)) {
-      ++decoded;
-    }
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * bytes);
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_TraceReplayRead)->Arg(100000);
-
 void BM_TraceScanMmap(benchmark::State& state) {
-  // Zero-copy full decode of the same on-disk trace through MappedTrace
-  // — open, page-directory walk and in-place payload scan per
-  // iteration.  The ratio to BM_TraceReplayRead is the mmap path's
-  // single-thread win over the streaming reader on identical content:
-  // no stream-to-buffer copies and no per-event call, with the shared
-  // varint codec (the ALU floor of this format) common to both.  The
-  // scan's second, larger advantage — pages decode independently, so
-  // one file's scan parallelizes across cores while the streaming
-  // reader is inherently sequential — is measured by
-  // BM_TraceScanParallel below.
+  // Zero-copy full decode of an on-disk trace through MappedTrace —
+  // open, page-directory walk and in-place payload scan per iteration,
+  // with the varint codec (the ALU floor of this format) doing the
+  // work.  Pages decode independently, so one file's scan also
+  // parallelizes across cores; BM_TraceScanParallel below measures
+  // that.
   const int n = static_cast<int>(state.range(0));
   const std::filesystem::path path =
       write_bench_trace("csmabw-bench-scan.cctrace", n);
@@ -453,8 +441,7 @@ BENCHMARK(BM_TraceScanMmap)->Arg(100000);
 
 void BM_TraceScanParallel(benchmark::State& state) {
   // Full decode of one mapped trace with pages fanned out across the
-  // worker pool — the decomposition trace_tool query runs.  This is
-  // where the mmap scan leaves the streaming reader behind: page
+  // worker pool — the decomposition trace_tool query runs.  Page
   // payloads are delta-based per page, so a single file's decode
   // scales with cores (on a 1-core runner this necessarily measures
   // pool overhead on top of BM_TraceScanMmap; the recorded baseline

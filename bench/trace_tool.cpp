@@ -1,65 +1,52 @@
-// Offline companion of the event-trace subsystem: records scenario runs
-// as binary traces, inspects them, recomputes the paper's transient
-// statistics from them, and filters them — so one expensive campaign
-// recording answers arbitrarily many later questions without re-running
-// the simulator.
+// Offline companion of the event-trace subsystem: inspects recorded
+// binary traces, recomputes the paper's transient statistics from them,
+// and filters them — so one expensive campaign recording (made with
+// `campaign_sweep --trace=DIR`) answers arbitrarily many later
+// questions without re-running the simulator.
 //
 // Subcommands:
-//   record       run a probe-train ensemble and write one trace per
-//                repetition:
-//                  trace_tool record --out=DIR --scenario=paper_fig2
-//                    --reps=24 --train=60 [--probe-mbps=5] [--seed=1]
 //   info         print a trace's header and per-kind event counts:
 //                  trace_tool info --in=FILE
-//   replay-stats recompute the per-cell campaign statistics (fig06 mean
-//                access delay, fig08 KS, fig10 transient length) from a
-//                recorded directory; with the default --shard=64 the
-//                numbers are bit-identical to the live campaign's:
-//                  trace_tool replay-stats --dir=DIR [--csv=PATH]
-//                    [--flow=1000] [--ks-prefix=1] [--tol=0.1]
 //   query        run a named aggregation over a fleet through the
 //                columnar scan path (mmap, skip-index pushdown,
-//                parallel page scan):
+//                parallel page scan); `--agg=delay` recomputes the
+//                per-cell campaign statistics (fig06 mean access delay,
+//                fig08 KS, fig10 transient length), bit-identical to the
+//                live campaign's with the default shard=64:
 //                  trace_tool query --dir=DIR [--agg=counts[:opts]]
 //                    [--where=kinds=success;station=0..3;time_ms=..250]
 //                    [--threads=N] [--csv=PATH] [--no-pushdown]
-//                    [--no-mmap] [--stats] [--metrics-out=FILE]
-//                    [--prof=FILE]
+//                    [--stats] [--metrics-out=FILE] [--prof=FILE]
 //                `--stats` prints per-file scan accounting (pages
 //                skipped vs decoded, events, wall time, effective
 //                events/s) to stderr; `--metrics-out` / `--prof` write
 //                the run-report JSON / Perfetto trace.
-//   index        backfill a `.ccidx` sidecar skip-index for v1 traces
-//                (v2 traces embed their summaries):
-//                  trace_tool index --dir=DIR | --in=FILE
 //   filter       copy a trace keeping only selected events (note that a
 //                kind-filtered trace may no longer replay-reconstruct):
 //                  trace_tool filter --in=A --out=B [--station=N]
 //                    [--flow=F] [--kinds=enqueue,success,...]
 //                    [--where=...]
+//
+// Every error (bad flags, a missing directory, a corrupt trace or one
+// of an older format version) prints one `trace_tool: error: ...` line
+// to stderr and exits 2.
 #include <array>
+#include <exception>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/scenario.hpp"
 #include "exp/collector.hpp"
-#include "exp/engine.hpp"
 #include "trace/event.hpp"
 #include "trace/query/agg.hpp"
 #include "trace/query/engine.hpp"
-#include "trace/query/index.hpp"
 #include "trace/query/mapped.hpp"
 #include "trace/query/predicate.hpp"
-#include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
-#include "util/json.hpp"
 #include "util/require.hpp"
 
 using namespace csmabw;
@@ -67,20 +54,13 @@ using namespace csmabw;
 namespace {
 
 int usage(std::ostream& out, int code) {
-  out << "usage: trace_tool "
-         "<record|info|replay-stats|query|index|filter> [options]\n"
-         "  record       --out=DIR --scenario=<name|grammar> [--reps=N]\n"
-         "               [--train=N] [--probe-mbps=R] [--size=BYTES]\n"
-         "               [--seed=S] [--threads=N]\n"
-         "  info         --in=FILE [--no-mmap]\n"
-         "  replay-stats --dir=DIR [--csv=PATH] [--flow=ID]\n"
-         "               [--ks-prefix=N] [--tol=T] [--shard=N]\n"
+  out << "usage: trace_tool <info|query|filter> [options]\n"
+         "  info         --in=FILE\n"
          "  query        --dir=DIR | --in=FILE [--agg=NAME[:k=v,...]]\n"
          "               [--where=CLAUSES] [--threads=N] [--csv=PATH]\n"
-         "               [--jsonl=PATH] [--no-pushdown] [--no-mmap]\n"
+         "               [--jsonl=PATH] [--no-pushdown]\n"
          "               [--pages-per-unit=N] [--stats]\n"
          "               [--metrics-out=FILE] [--prof=FILE]\n"
-         "  index        --dir=DIR | --in=FILE [--threads=N]\n"
          "  filter       --in=FILE --out=FILE [--station=N] [--flow=F]\n"
          "               [--kinds=enqueue,success,...] [--where=CLAUSES]\n"
          "               [--no-pushdown]\n"
@@ -103,52 +83,14 @@ std::string required(const util::Args& args, const char* name) {
   return value;
 }
 
-// ---------------------------------------------------------------- record
-
-int cmd_record(const util::Args& args) {
-  exp::SweepSpec spec;
-  spec.scenarios = {required(args, "scenario")};
-  spec.train_lengths = {args.get("train", 60)};
-  spec.probe_mbps = {args.get("probe-mbps", 5.0)};
-  spec.probe_size_bytes = args.get("size", 1500);
-  spec.repetitions = args.get("reps", 24);
-  spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 1));
-  spec.trace_dir = required(args, "out");
-  const exp::Campaign campaign(spec);
-
-  exp::TrainCampaignConfig tcfg;
-  tcfg.ks_prefix = 1;
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "record",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
-
-  const exp::TrainCellStats& cell = cells.front();
-  std::cout << "# recorded " << spec.repetitions << " repetitions of `"
-            << campaign.cells().front().scenario_name << "` to "
-            << spec.trace_dir << "\n";
-  std::cout << "# live summary: used " << cell.used << ", dropped "
-            << cell.dropped << ", mean access delay (packet 1) "
-            << util::Table::format(cell.analyzer.mean_at(0) * 1e3, 4)
-            << " ms, steady "
-            << util::Table::format(cell.analyzer.steady_mean() * 1e3, 4)
-            << " ms\n";
-  std::cout << "# replay with: trace_tool replay-stats --dir="
-            << spec.trace_dir << "\n";
-  return 0;
-}
-
 // ------------------------------------------------------------------ info
 
 int cmd_info(const util::Args& args) {
   const std::string path = required(args, "in");
-  trace::MappedTraceOptions mopts;
-  mopts.use_mmap = !args.get("no-mmap", false);
-  const trace::MappedTrace trace(path, mopts);
+  const trace::MappedTrace trace(path);
   const trace::TraceMeta& meta = trace.meta();
   std::cout << "# " << path << "\n";
-  std::cout << "format_version: " << trace.version() << "\n";
+  std::cout << "version: " << trace::format::kFormatVersion << "\n";
   std::cout << "file_bytes: " << trace.file_size() << "\n";
   std::cout << "io: " << (trace.mapped() ? "mmap" : "buffered") << "\n";
   std::cout << "cell: " << meta.cell << "\nrepetition: " << meta.repetition
@@ -159,34 +101,23 @@ int cmd_info(const util::Args& args) {
   std::cout << "seed: " << meta.seed << "\n";
   std::cout << "label: " << (meta.label.empty() ? "-" : meta.label) << "\n";
 
-  std::size_t with_summary = 0;
-  for (const trace::PageInfo& p : trace.pages()) {
-    with_summary += p.has_summary ? 1 : 0;
-  }
   std::cout << "events: " << trace.events()
             << "\npages: " << trace.pages().size() << "\n";
-  std::cout << "pages_with_summary: " << with_summary
-            << (trace.sidecar_loaded() ? " (from .ccidx sidecar)" : "")
-            << "\n";
 
   std::array<std::uint64_t, trace::kEventKindCount> counts{};
   std::map<int, std::uint64_t> per_station;
   TimeNs first;
   TimeNs last;
   bool any = false;
-  trace::query::ScanStats stats;
-  trace::query::scan_pages(trace, 0, trace.pages().size(),
-                           trace::query::QueryPredicate{}, false, &stats,
-                           [&](const trace::TraceEvent& e) {
-                             ++counts[static_cast<std::size_t>(
-                                 trace::kind_index(e.kind))];
-                             ++per_station[e.station];
-                             if (!any) {
-                               first = e.time;
-                               any = true;
-                             }
-                             last = e.time;
-                           });
+  trace.scan([&](const trace::TraceEvent& e) {
+    ++counts[static_cast<std::size_t>(trace::kind_index(e.kind))];
+    ++per_station[e.station];
+    if (!any) {
+      first = e.time;
+      any = true;
+    }
+    last = e.time;
+  });
   if (any) {
     std::cout << "span_ms: " << util::Table::format(first.to_ms(), 3)
               << " .. " << util::Table::format(last.to_ms(), 3) << "\n";
@@ -206,100 +137,6 @@ int cmd_info(const util::Args& args) {
   return 0;
 }
 
-// ---------------------------------------------------------- replay-stats
-
-int cmd_replay_stats(const util::Args& args) {
-  const std::string dir = required(args, "dir");
-  const int flow = args.get("flow", core::kProbeFlow);
-  const int shard = args.get("shard", 64);
-  const double tol = args.get("tol", 0.1);
-  exp::TrainCampaignConfig tcfg;
-  tcfg.ks_prefix = args.get("ks-prefix", 1);
-  tcfg.steady_tail = args.get("steady-tail", 0);
-
-  const std::vector<trace::TraceFile> files = trace::list_traces(dir);
-  CSMABW_REQUIRE(!files.empty(),
-                 "no .cctrace files under `" + dir + "`");
-
-  // Group the recordings by campaign cell, preserving (cell, rep) order.
-  std::vector<std::pair<int, std::vector<const trace::TraceFile*>>> cells;
-  for (const trace::TraceFile& f : files) {
-    CSMABW_REQUIRE(f.meta.train_n >= 2,
-                   "`" + f.path + "` is not a probe-train recording");
-    if (cells.empty() || cells.back().first != f.meta.cell) {
-      cells.emplace_back(f.meta.cell,
-                         std::vector<const trace::TraceFile*>{});
-    }
-    cells.back().second.push_back(&f);
-  }
-
-  exp::CollectorOptions copts;
-  copts.csv_path = args.get("csv", "");
-  // The metric columns of campaign_sweep's per-cell rows, minus the
-  // sweep coordinates (a trace directory may mix hand-recorded cells):
-  // the CI determinism diff `cut`s these very columns from the live CSV.
-  // The last header tracks --tol ("transient_pkts_tol0.1" by default,
-  // matching the live campaign's fixed 0.1).
-  exp::Collector collector(
-      {"cell", "reps_used", "dropped", "mean_gap_ms", "measured_rate_mbps",
-       "first_delay_ms", "steady_delay_ms", "ks_first", "ks_thresh_95",
-       "transient_pkts_tol" + util::json_number(tol)},
-      copts);
-
-  for (const auto& [cell_index, reps] : cells) {
-    const trace::TraceMeta& meta = reps.front()->meta;
-    trace::TrainReplayStats stats(
-        exp::train_transient_config(meta.train_n, tcfg), shard);
-    for (std::size_t r = 0; r < reps.size(); ++r) {
-      CSMABW_REQUIRE(reps[r]->meta.repetition == static_cast<int>(r),
-                     "cell " + std::to_string(cell_index) +
-                         " is missing repetition " + std::to_string(r) +
-                         " (found `" + reps[r]->path + "`)");
-      // Catch recordings from different campaigns mixed in one
-      // directory (e.g. a re-record with another seed or train over
-      // stale files): all repetitions of a cell must agree on
-      // everything but the repetition number.
-      trace::TraceMeta expected = meta;
-      expected.repetition = static_cast<int>(r);
-      CSMABW_REQUIRE(reps[r]->meta == expected,
-                     "`" + reps[r]->path +
-                         "` does not belong to the same recording as `" +
-                         reps.front()->path +
-                         "` (stale traces from an earlier run? clear "
-                         "the directory and re-record)");
-      stats.add(trace::replay_train_file(reps[r]->path, flow));
-    }
-    stats.finish();
-
-    std::vector<exp::Value> row;
-    row.emplace_back(cell_index);
-    row.emplace_back(stats.used());
-    row.emplace_back(stats.dropped());
-    if (stats.used() > 0) {
-      const double gap = stats.output_gap_s().mean();
-      row.emplace_back(gap * 1e3);
-      row.emplace_back(gap > 0.0 ? meta.train_size * 8.0 / gap / 1e6 : 0.0);
-      row.emplace_back(stats.analyzer().mean_at(0) * 1e3);
-      row.emplace_back(stats.analyzer().steady_mean() * 1e3);
-      row.emplace_back(stats.analyzer().ks_at(0));
-      row.emplace_back(stats.analyzer().ks_threshold_at(0));
-      row.emplace_back(stats.analyzer().transient_length(tol));
-    } else {
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      for (int k = 0; k < 7; ++k) {
-        row.emplace_back(nan);
-      }
-    }
-    collector.add(row);
-  }
-
-  collector.table().print(std::cout);
-  if (!copts.csv_path.empty()) {
-    std::cout << "# csv written: " << copts.csv_path << "\n";
-  }
-  return 0;
-}
-
 // ----------------------------------------------------------------- query
 
 /// The fleet to query: every trace under --dir (in replay order), or
@@ -314,10 +151,7 @@ std::vector<trace::TraceFile> query_files(const util::Args& args) {
     CSMABW_REQUIRE(!files.empty(), "no .cctrace files under `" + dir + "`");
     return files;
   }
-  trace::MappedTraceOptions mopts;
-  mopts.load_sidecar = false;  // header only; the engine reopens it
-  const trace::MappedTrace trace(in, mopts);
-  return {trace::TraceFile{in, trace.meta()}};
+  return {trace::TraceFile{in, trace::MappedTrace(in).meta()}};
 }
 
 int cmd_query(const util::Args& args) {
@@ -335,7 +169,6 @@ int cmd_query(const util::Args& args) {
 
   trace::query::QueryOptions qopts;
   qopts.pushdown = !args.get("no-pushdown", false);
-  qopts.map_opts.use_mmap = !args.get("no-mmap", false);
   qopts.pages_per_unit = args.get("pages-per-unit", 0);
   qopts.metrics = obs.metrics();
   qopts.profiler = obs.profiler();
@@ -400,56 +233,6 @@ int cmd_query(const util::Args& args) {
   return 0;
 }
 
-// ----------------------------------------------------------------- index
-
-int cmd_index(const util::Args& args) {
-  std::vector<std::string> paths;
-  const std::string dir = args.get("dir", "");
-  const std::string in = args.get("in", "");
-  CSMABW_REQUIRE(dir.empty() != in.empty(),
-                 "trace_tool: give exactly one of --dir or --in");
-  if (!dir.empty()) {
-    for (const trace::TraceFile& f : trace::list_traces(dir)) {
-      paths.push_back(f.path);
-    }
-    CSMABW_REQUIRE(!paths.empty(), "no .cctrace files under `" + dir + "`");
-  } else {
-    paths.push_back(in);
-  }
-
-  const exp::Runner runner = bench::runner_from(args);
-  struct Result {
-    std::size_t pages = 0;
-    bool embedded = false;
-  };
-  const std::vector<Result> results =
-      runner.map(static_cast<int>(paths.size()), [&](int i) {
-        trace::MappedTraceOptions mopts;
-        mopts.load_sidecar = false;
-        const trace::MappedTrace trace(paths[static_cast<std::size_t>(i)],
-                                       mopts);
-        Result r;
-        r.pages = trace.pages().size();
-        if (trace.version() >= 2) {
-          r.embedded = true;  // summaries already live in the pages
-          return r;
-        }
-        r.pages = trace::write_sidecar_index(trace);
-        return r;
-      });
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (results[i].embedded) {
-      std::cout << "# " << paths[i] << ": v2, summaries embedded ("
-                << results[i].pages << " pages, no sidecar needed)\n";
-    } else {
-      std::cout << "# " << paths[i] << ": indexed " << results[i].pages
-                << " pages -> " << trace::sidecar_index_path(paths[i])
-                << "\n";
-    }
-  }
-  return 0;
-}
-
 // ---------------------------------------------------------------- filter
 
 int cmd_filter(const util::Args& args) {
@@ -481,9 +264,7 @@ int cmd_filter(const util::Args& args) {
   const bool by_flow = args.has("flow");
   const int flow = args.get("flow", 0);
 
-  trace::MappedTraceOptions mopts;
-  mopts.use_mmap = !args.get("no-mmap", false);
-  const trace::MappedTrace trace(in_path, mopts);
+  const trace::MappedTrace trace(in_path);
   trace::TraceWriter writer(out_path, trace.meta());
   trace::query::ScanStats stats;
   std::uint64_t kept = 0;
@@ -503,28 +284,17 @@ int cmd_filter(const util::Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) {
     return usage(std::cerr, 2);
   }
   const std::string cmd = argv[1];
   const util::Args args(argc - 1, argv + 1);
-  if (cmd == "record") {
-    return cmd_record(args);
-  }
   if (cmd == "info") {
     return cmd_info(args);
   }
-  if (cmd == "replay-stats") {
-    return cmd_replay_stats(args);
-  }
   if (cmd == "query") {
     return cmd_query(args);
-  }
-  if (cmd == "index") {
-    return cmd_index(args);
   }
   if (cmd == "filter") {
     return cmd_filter(args);
@@ -534,4 +304,15 @@ int main(int argc, char** argv) {
   }
   std::cerr << "trace_tool: unknown subcommand `" << cmd << "`\n";
   return usage(std::cerr, 2);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "trace_tool: error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -15,7 +15,7 @@
 
 #include "core/scenario.hpp"
 #include "exp/engine.hpp"
-#include "trace/reader.hpp"
+#include "trace/query/mapped.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "util/cli.hpp"
@@ -56,12 +56,9 @@ int main(int argc, char** argv) {
       exp::train_transient_config(train, tcfg));
   std::array<std::uint64_t, trace::kEventKindCount> counts{};
   for (const trace::TraceFile& file : trace::list_traces(dir)) {
-    trace::TraceReader reader(file.path);
     trace::PacketReconstructor rec;
-    trace::TraceEvent e;
-    while (reader.next(&e)) {
-      rec.on_event(e);
-    }
+    trace::MappedTrace(file.path).scan(
+        [&](const trace::TraceEvent& e) { rec.on_event(e); });
     for (int k = 0; k < trace::kEventKindCount; ++k) {
       counts[static_cast<std::size_t>(k)] +=
           rec.counts()[static_cast<std::size_t>(k)];

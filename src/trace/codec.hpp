@@ -1,9 +1,8 @@
 #pragma once
 
-// The one event codec shared by every trace consumer: TraceReader's
-// buffered path and the zero-copy MappedTrace scan decode through the
-// same functions, so the accept/reject semantics of the wire format
-// (see trace/format.hpp) cannot drift between them.
+// The one event codec of the wire format (see trace/format.hpp):
+// TraceWriter encodes and the MappedTrace page scan decodes through
+// these two functions, so what is written is exactly what is read.
 
 #include <cstddef>
 #include <cstdint>

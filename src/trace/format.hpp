@@ -1,6 +1,6 @@
 #pragma once
 
-// On-disk binary trace format (shared by TraceWriter and TraceReader).
+// On-disk binary trace format (shared by TraceWriter and MappedTrace).
 //
 // A trace file is a fixed header followed by a sequence of pages, each
 // a small header plus a varint/delta-packed run of events:
@@ -14,13 +14,13 @@
 //           | u32 label_len | label bytes
 //   page   := u32 page_magic | u32 payload_bytes | u32 event_count
 //           | i64 base_time_ns                  (delta base, see below)
-//           | summary                           (version >= 2 only)
+//           | summary
 //           | payload
 //
-// Version 2 inserts a fixed 24-byte per-page summary between the page
-// header and the payload — the skip-index the analytics scan uses for
-// predicate pushdown (a whole page is skipped when its summary proves
-// no event can match):
+// Every page carries a fixed 24-byte summary between its header and its
+// payload — the skip-index the analytics scan uses for predicate
+// pushdown (a whole page is skipped when its summary proves no event
+// can match):
 //
 //   summary := u16 kind_mask                    bit (kind - 1) set iff
 //                                               the page holds that kind
@@ -30,9 +30,6 @@
 //
 // A valid summary has kind_mask != 0, min_station <= max_station and
 // min_time_ns <= max_time_ns; readers reject anything else as corrupt.
-// Version-1 files carry no summary (a scan can never skip their pages)
-// unless a sidecar `.ccidx` file built by trace::write_sidecar_index
-// backfills one per page.
 //
 // All integers are little-endian.  Events inside a page are packed as
 //
@@ -44,10 +41,11 @@
 // first event of a page), so pages decode independently and timestamps —
 // nanoseconds since simulation start — cost one or two bytes instead of
 // eight.  Readers skip unknown trailing header bytes via header_bytes
-// and must reject files whose version they do not know; adding fields
-// to the header or new event kinds bumps the minor semantics only,
-// changing the page or event layout bumps `kFormatVersion` (v1 -> v2:
-// the page summary above).
+// and reject every version but kFormatVersion; adding fields to the
+// header or new event kinds bumps the minor semantics only, changing
+// the page or event layout bumps `kFormatVersion` (v1 -> v2: the page
+// summary above).  Traces are regenerable recordings, so an older file
+// is re-recorded rather than read.
 
 #include <cstdint>
 #include <vector>
@@ -56,8 +54,6 @@ namespace csmabw::trace::format {
 
 inline constexpr char kMagic[4] = {'C', 'C', 'T', 'R'};
 inline constexpr std::uint16_t kFormatVersion = 2;
-/// Oldest version readers still decode (v1 = no page summaries).
-inline constexpr std::uint16_t kMinFormatVersion = 1;
 inline constexpr std::uint32_t kPageMagic = 0x47504354;  // "TCPG"
 /// Target payload size per page; a page flushes once it grows past this.
 inline constexpr std::size_t kDefaultPageBytes = 64 * 1024;
@@ -70,27 +66,16 @@ inline constexpr std::size_t kMaxPageBytes = 64 * 1024 * 1024;
 inline constexpr std::size_t kMaxHeaderBytes = 1024 * 1024;
 inline constexpr const char* kTraceExtension = ".cctrace";
 
-/// Sidecar skip-index for version-1 files ("CCIX"): see
-/// trace/query/index.hpp for the layout.
-inline constexpr const char* kIndexExtension = ".ccidx";
-inline constexpr char kIndexMagic[4] = {'C', 'C', 'I', 'X'};
-inline constexpr std::uint16_t kIndexVersion = 1;
-
-/// Page header sizes by format version (magic + payload + count + base
-/// time, plus the v2 summary).
-inline constexpr std::size_t kPageHeaderBytesV1 = 20;
+/// Page header layout: magic + payload + count + base time, then the
+/// summary.
+inline constexpr std::size_t kPageSummaryOffset = 20;
 inline constexpr std::size_t kPageSummaryBytes = 24;
-inline constexpr std::size_t kPageHeaderBytesV2 =
-    kPageHeaderBytesV1 + kPageSummaryBytes;
-
-[[nodiscard]] constexpr std::size_t page_header_bytes(
-    std::uint16_t version) {
-  return version >= 2 ? kPageHeaderBytesV2 : kPageHeaderBytesV1;
-}
+inline constexpr std::size_t kPageHeaderBytes =
+    kPageSummaryOffset + kPageSummaryBytes;
 
 // ----------------------------------------------------- page skip-index
 
-/// Per-page event summary (the v2 skip-index): the exact ranges a scan
+/// Per-page event summary (the skip-index): the exact ranges a scan
 /// checks a predicate against before decoding the page.
 struct PageSummary {
   std::uint16_t kind_mask = 0;     ///< bit (kind - 1) set iff present

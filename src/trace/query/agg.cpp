@@ -112,9 +112,10 @@ class ReplayPartial final : public AggPartial {
 
 // ----------------------------------------------------------------- delay
 
-/// Per-cell transient statistics — the parallel twin of `trace_tool
-/// replay-stats`, emitting byte-identical rows: same cell grouping, same
-/// repetition checks, same shard-merged TrainReplayStats, same columns.
+/// Per-cell transient statistics (the paper's fig06/08/10) recomputed
+/// from a recorded campaign: files group by cell in repetition order
+/// and fold through the same shard-merged TrainReplayStats as the live
+/// run, so the rows are bit-identical to the live campaign's.
 class DelayAgg final : public Aggregation {
  public:
   explicit DelayAgg(const util::Options& opts)
@@ -172,8 +173,10 @@ class DelayAgg final : public Aggregation {
   void finish() override { flush_cell(); }
 
   [[nodiscard]] std::vector<std::string> columns() const override {
-    // Byte-for-byte the replay-stats schema: the CI determinism gate
-    // diffs these columns against the live campaign CSV.
+    // The metric columns of campaign_sweep's per-cell rows, minus the
+    // sweep coordinates (a trace directory may mix hand-recorded
+    // cells): the CI determinism gate diffs them against the live
+    // campaign CSV.  The last header tracks `tol` (0.1 live).
     return {"cell",
             "reps_used",
             "dropped",
@@ -682,8 +685,8 @@ std::vector<std::string> aggregation_catalog() {
   return {
       "counts      per-station, per-kind event counts (works with "
       "--where)",
-      "delay       per-cell transient stats, byte-identical to "
-      "replay-stats (flow, ks_prefix, steady_tail, shard, tol)",
+      "delay       per-cell transient stats, byte-identical to the "
+      "live campaign (flow, ks_prefix, steady_tail, shard, tol)",
       "delay-hist  access-delay histograms (by=position|station, flow, "
       "lo_ms, hi_ms, bins)",
       "airtime     per-station channel-occupation time and share",

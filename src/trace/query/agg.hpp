@@ -92,8 +92,8 @@ class Aggregation {
 /// Built-ins:
 ///   counts      per-station, per-kind event counts (composes with
 ///               --where)
-///   delay       per-cell transient statistics, bit-identical to
-///               `replay-stats` (options: flow, ks_prefix, steady_tail,
+///   delay       per-cell transient statistics, bit-identical to the
+///               live campaign's (options: flow, ks_prefix, steady_tail,
 ///               shard, tol)
 ///   delay-hist  access-delay histograms grouped by train position or
 ///               station (options: by=position|station, flow, lo_ms,

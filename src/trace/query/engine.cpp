@@ -59,8 +59,7 @@ ScanStats run_query(const std::vector<TraceFile>& files,
   std::vector<MappedTrace> traces = runner.map(n_files, [&](int i) {
     obs::ScopedSpan span(opts.profiler, "query.open");
     span.arg("file", i);
-    return MappedTrace(files[static_cast<std::size_t>(i)].path,
-                       opts.map_opts);
+    return MappedTrace(files[static_cast<std::size_t>(i)].path);
   });
 
   const int per_unit = agg.whole_file()

@@ -42,8 +42,6 @@ struct QueryOptions {
   /// everything; results are identical either way (summaries are
   /// conservative), only the work changes.
   bool pushdown = true;
-  /// How each file is brought into memory (mmap / buffered, sidecar).
-  MappedTraceOptions map_opts;
   /// Pages per work unit for page-granular aggregations (0 = 64, about
   /// 4 MiB of payload).  Whole-file aggregations always run one unit
   /// per file.
@@ -71,8 +69,8 @@ struct ScanStats {
 /// trace, invoking fn(const TraceEvent&) for every event matching
 /// `pred`, in file order.  With `pushdown`, pages whose summary refutes
 /// the predicate are skipped without touching their payload.  Counters
-/// fold into `*stats`.  The shared scan kernel of run_query and the
-/// trace_tool info/filter paths.
+/// fold into `*stats`.  The shared scan kernel of run_query and
+/// `trace_tool filter`.
 template <typename Fn>
 void scan_pages(const MappedTrace& trace, std::size_t first_page,
                 std::size_t page_count, const QueryPredicate& pred,
@@ -81,8 +79,7 @@ void scan_pages(const MappedTrace& trace, std::size_t first_page,
   for (std::size_t p = first_page; p < first_page + page_count; ++p) {
     ++stats->pages;
     const PageInfo& page = trace.pages()[p];
-    if (pushdown && !all && page.has_summary &&
-        !pred.may_match_page(page.summary)) {
+    if (pushdown && !all && !pred.may_match_page(page.summary)) {
       ++stats->pages_skipped;
       continue;
     }

@@ -1,7 +1,6 @@
 #include "trace/query/mapped.hpp"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -30,18 +29,11 @@ using format::get_u64;
 
 }  // namespace
 
-std::string sidecar_index_path(const std::string& trace_path) {
-  return trace_path + format::kIndexExtension;
-}
-
 MappedTrace::MappedTrace(const std::string& path, MappedTraceOptions opts)
     : path_(path) {
   open(opts);
   parse_header();
   index_pages();
-  if (opts.load_sidecar && version_ < 2) {
-    load_sidecar();
-  }
 }
 
 MappedTrace::~MappedTrace() { unmap(); }
@@ -53,9 +45,7 @@ MappedTrace::MappedTrace(MappedTrace&& other) noexcept
       mapped_(other.mapped_),
       buffer_(std::move(other.buffer_)),
       meta_(std::move(other.meta_)),
-      version_(other.version_),
       first_page_offset_(other.first_page_offset_),
-      sidecar_(other.sidecar_),
       events_(other.events_),
       pages_(std::move(other.pages_)) {
   other.data_ = nullptr;
@@ -72,9 +62,7 @@ MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
     mapped_ = other.mapped_;
     buffer_ = std::move(other.buffer_);
     meta_ = std::move(other.meta_);
-    version_ = other.version_;
     first_page_offset_ = other.first_page_offset_;
-    sidecar_ = other.sidecar_;
     events_ = other.events_;
     pages_ = std::move(other.pages_);
     other.data_ = nullptr;
@@ -157,14 +145,14 @@ void MappedTrace::parse_header() {
   if (std::memcmp(data_, format::kMagic, 4) != 0) {
     throw_corrupt(0, "not a trace file (bad magic; expected \"CCTR\")");
   }
-  version_ = get_u16(data_ + 4);
-  CSMABW_REQUIRE(version_ >= format::kMinFormatVersion &&
-                     version_ <= format::kFormatVersion,
-                 "`" + path_ + "` @ byte 0: unsupported trace format "
-                     "version " + std::to_string(version_) +
-                     " (this reader knows " +
-                     std::to_string(format::kMinFormatVersion) + ".." +
-                     std::to_string(format::kFormatVersion) + ")");
+  const std::uint16_t version = get_u16(data_ + 4);
+  if (version != format::kFormatVersion) {
+    throw util::PreconditionError(
+        "`" + path_ + "` @ byte 0: unsupported trace format version " +
+        std::to_string(version) + " (this reader knows only version " +
+        std::to_string(format::kFormatVersion) +
+        "); re-record the trace with this build");
+  }
   const std::uint32_t header_bytes = get_u32(data_ + 8);
   if (header_bytes < 48 || header_bytes > format::kMaxHeaderBytes ||
       header_bytes > size_) {
@@ -191,10 +179,9 @@ void MappedTrace::parse_header() {
 }
 
 void MappedTrace::index_pages() {
-  const std::size_t header_bytes = format::page_header_bytes(version_);
   std::uint64_t off = first_page_offset_;
   while (off < size_) {
-    if (size_ - off < header_bytes) {
+    if (size_ - off < format::kPageHeaderBytes) {
       throw_corrupt(off, "truncated page header");
     }
     const unsigned char* h = data_ + off;
@@ -213,20 +200,17 @@ void MappedTrace::index_pages() {
       throw_corrupt(off, "implausible page size " +
                              std::to_string(p.payload_bytes));
     }
-    if (version_ >= 2) {
-      p.summary = format::get_summary(h + format::kPageHeaderBytesV1);
-      if (!p.summary.valid()) {
-        throw_corrupt(
-            off, "invalid page summary (kind mask " +
-                     std::to_string(p.summary.kind_mask) + ", stations " +
-                     std::to_string(p.summary.min_station) + ".." +
-                     std::to_string(p.summary.max_station) + ", time " +
-                     std::to_string(p.summary.min_time_ns) + ".." +
-                     std::to_string(p.summary.max_time_ns) + " ns)");
-      }
-      p.has_summary = true;
+    p.summary = format::get_summary(h + format::kPageSummaryOffset);
+    if (!p.summary.valid()) {
+      throw_corrupt(
+          off, "invalid page summary (kind mask " +
+                   std::to_string(p.summary.kind_mask) + ", stations " +
+                   std::to_string(p.summary.min_station) + ".." +
+                   std::to_string(p.summary.max_station) + ", time " +
+                   std::to_string(p.summary.min_time_ns) + ".." +
+                   std::to_string(p.summary.max_time_ns) + " ns)");
     }
-    p.payload_offset = off + header_bytes;
+    p.payload_offset = off + format::kPageHeaderBytes;
     if (size_ - p.payload_offset < p.payload_bytes) {
       throw_corrupt(off, "trace page truncated");
     }
@@ -234,60 +218,6 @@ void MappedTrace::index_pages() {
     off = p.payload_offset + p.payload_bytes;
     pages_.push_back(p);
   }
-}
-
-void MappedTrace::load_sidecar() {
-  const std::string idx_path = sidecar_index_path(path_);
-  std::ifstream in(idx_path, std::ios::binary);
-  if (!in) {
-    return;  // no sidecar: v1 pages simply never skip
-  }
-  const auto fail = [&](const std::string& what) {
-    throw util::PreconditionError(
-        "`" + idx_path + "`: " + what +
-        " (stale or corrupt sidecar index? delete it or rebuild with "
-        "`trace_tool index`)");
-  };
-  std::vector<unsigned char> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  // Sidecar header: magic(4) version(2) reserved(2) size(8) count(4).
-  constexpr std::size_t kIndexHeaderBytes = 20;
-  if (bytes.size() < kIndexHeaderBytes ||
-      std::memcmp(bytes.data(), format::kIndexMagic, 4) != 0) {
-    fail("not a sidecar index (bad magic; expected \"CCIX\")");
-  }
-  if (get_u16(bytes.data() + 4) != format::kIndexVersion) {
-    fail("unsupported sidecar index version " +
-         std::to_string(get_u16(bytes.data() + 4)));
-  }
-  if (get_u64(bytes.data() + 8) != size_) {
-    fail("index was built for a " +
-         std::to_string(get_u64(bytes.data() + 8)) + "-byte file, trace is " +
-         std::to_string(size_) + " bytes");
-  }
-  const std::uint32_t page_count = get_u32(bytes.data() + 16);
-  if (page_count != pages_.size()) {
-    fail("index covers " + std::to_string(page_count) +
-         " pages, trace has " + std::to_string(pages_.size()));
-  }
-  constexpr std::size_t kEntryBytes = 8 + format::kPageSummaryBytes;
-  if (bytes.size() !=
-      kIndexHeaderBytes + static_cast<std::size_t>(page_count) * kEntryBytes) {
-    fail("index truncated");
-  }
-  for (std::uint32_t i = 0; i < page_count; ++i) {
-    const unsigned char* e = bytes.data() + kIndexHeaderBytes + i * kEntryBytes;
-    if (get_u64(e) != pages_[i].header_offset) {
-      fail("page " + std::to_string(i) + " offset mismatch");
-    }
-    const format::PageSummary s = format::get_summary(e + 8);
-    if (!s.valid()) {
-      fail("page " + std::to_string(i) + " has an invalid summary");
-    }
-    pages_[i].summary = s;
-    pages_[i].has_summary = true;
-  }
-  sidecar_ = true;
 }
 
 const PageInfo& MappedTrace::page_checked(std::size_t i) const {

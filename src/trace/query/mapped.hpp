@@ -20,29 +20,26 @@ struct PageInfo {
   std::uint32_t payload_bytes = 0;
   std::uint32_t event_count = 0;
   std::int64_t base_time_ns = 0;     ///< delta base of the page
-  /// Skip-index summary: embedded for v2 pages, sidecar-backfilled for
-  /// v1 pages with a `.ccidx`, absent otherwise (page never skipped).
-  bool has_summary = false;
-  format::PageSummary summary;
+  format::PageSummary summary;       ///< the page's skip-index
 };
 
 struct MappedTraceOptions {
   /// POSIX mmap the file read-only; false (or mmap failure) falls back
-  /// to one buffered read of the whole file.
+  /// to one buffered read of the whole file.  Only tests turn it off,
+  /// to reach the fallback.
   bool use_mmap = true;
-  /// Attach a `.ccidx` sidecar's summaries to a v1 file when present.
-  bool load_sidecar = true;
 };
 
-/// Zero-copy random-access trace reader — the analytics twin of the
-/// streaming TraceReader.
+/// The trace reader: zero-copy, random access.
 ///
 /// The whole file is mapped read-only (buffered read as fallback) and
 /// the page directory — offsets, event counts, skip-index summaries —
 /// is built eagerly by walking page headers only, so opening a
 /// multi-GB trace touches a few bytes per 64 KiB page.  Pages then
 /// decode independently, in place, in any order, which is what the
-/// parallel query engine schedules over.  Corruption reports via
+/// parallel query engine schedules over; scan() replays the whole file
+/// in event order.  Bad input (not a trace, a version other than
+/// format::kFormatVersion, corruption) reports via
 /// util::PreconditionError naming the file path and byte offset.
 class MappedTrace {
  public:
@@ -57,12 +54,9 @@ class MappedTrace {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] const TraceMeta& meta() const { return meta_; }
-  [[nodiscard]] std::uint16_t version() const { return version_; }
   [[nodiscard]] std::uint64_t file_size() const { return size_; }
   /// True when the file is served by mmap (false: buffered fallback).
   [[nodiscard]] bool mapped() const { return mapped_; }
-  /// True when a v1 file's summaries came from a `.ccidx` sidecar.
-  [[nodiscard]] bool sidecar_loaded() const { return sidecar_; }
 
   [[nodiscard]] const std::vector<PageInfo>& pages() const {
     return pages_;
@@ -92,6 +86,14 @@ class MappedTrace {
     }
   }
 
+  /// scan_page over every page in file order: the whole event stream.
+  template <typename Fn>
+  void scan(Fn&& fn) const {
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+      scan_page(p, fn);
+    }
+  }
+
   /// scan_page into a vector (tests, small analyses).
   [[nodiscard]] std::vector<TraceEvent> decode_page(
       std::size_t page_index) const;
@@ -100,7 +102,6 @@ class MappedTrace {
   void open(const MappedTraceOptions& opts);
   void parse_header();
   void index_pages();
-  void load_sidecar();
   void unmap() noexcept;
   [[nodiscard]] const PageInfo& page_checked(std::size_t i) const;
   [[noreturn]] void throw_corrupt(std::uint64_t offset,
@@ -112,14 +113,9 @@ class MappedTrace {
   bool mapped_ = false;
   std::vector<unsigned char> buffer_;  // fallback storage
   TraceMeta meta_;
-  std::uint16_t version_ = 0;
   std::uint64_t first_page_offset_ = 0;
-  bool sidecar_ = false;
   std::uint64_t events_ = 0;
   std::vector<PageInfo> pages_;
 };
-
-/// `path` + ".ccidx" — where a trace's sidecar skip-index lives.
-[[nodiscard]] std::string sidecar_index_path(const std::string& trace_path);
 
 }  // namespace csmabw::trace

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "trace/format.hpp"
+#include "trace/query/mapped.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::trace {
@@ -81,15 +82,6 @@ std::size_t PacketReconstructor::pending() const {
   return n;
 }
 
-std::vector<ReplayPacket> replay_packets(TraceReader& reader) {
-  PacketReconstructor rec;
-  TraceEvent e;
-  while (reader.next(&e)) {
-    rec.on_event(e);
-  }
-  return rec.packets();
-}
-
 core::TrainRun replay_train(const std::vector<ReplayPacket>& packets,
                             int flow) {
   core::TrainRun run;
@@ -114,8 +106,9 @@ core::TrainRun replay_train(const std::vector<ReplayPacket>& packets,
 }
 
 core::TrainRun replay_train_file(const std::string& path, int flow) {
-  TraceReader reader(path);
-  return replay_train(replay_packets(reader), flow);
+  PacketReconstructor rec;
+  MappedTrace(path).scan([&](const TraceEvent& e) { rec.on_event(e); });
+  return replay_train(rec.packets(), flow);
 }
 
 // ------------------------------------------------------ TrainReplayStats
@@ -185,7 +178,7 @@ std::vector<TraceFile> list_traces(const std::string& dir) {
     }
     TraceFile f;
     f.path = entry.path().string();
-    f.meta = TraceReader(f.path).meta();
+    f.meta = MappedTrace(f.path).meta();
     files.push_back(std::move(f));
   }
   std::sort(files.begin(), files.end(),

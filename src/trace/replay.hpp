@@ -12,7 +12,7 @@
 #include "core/transient.hpp"
 #include "stats/summary.hpp"
 #include "trace/event.hpp"
-#include "trace/reader.hpp"
+#include "trace/writer.hpp"  // TraceMeta
 
 namespace csmabw::trace {
 
@@ -53,9 +53,6 @@ class PacketReconstructor {
   std::array<std::uint64_t, kEventKindCount> counts_{};
 };
 
-/// Drains `reader` through a PacketReconstructor.
-[[nodiscard]] std::vector<ReplayPacket> replay_packets(TraceReader& reader);
-
 /// Rebuilds flow `flow`'s probe train from reconstructed packets as a
 /// core::TrainRun (packets in sequence order) — the offline twin of
 /// Scenario::run_train's result, feeding the same access-delay and
@@ -63,7 +60,7 @@ class PacketReconstructor {
 [[nodiscard]] core::TrainRun replay_train(
     const std::vector<ReplayPacket>& packets, int flow);
 
-/// Convenience: read + reconstruct + extract in one call.
+/// Convenience: map + reconstruct + extract in one call.
 [[nodiscard]] core::TrainRun replay_train_file(const std::string& path,
                                                int flow = core::kProbeFlow);
 

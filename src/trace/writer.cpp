@@ -27,25 +27,13 @@ std::size_t checked_page_limit(std::size_t page_bytes) {
   return limit;
 }
 
-std::uint16_t checked_version(std::uint16_t version) {
-  CSMABW_REQUIRE(version >= format::kMinFormatVersion &&
-                     version <= format::kFormatVersion,
-                 "unsupported trace format version " +
-                     std::to_string(version) + " (this writer knows " +
-                     std::to_string(format::kMinFormatVersion) + ".." +
-                     std::to_string(format::kFormatVersion) + ")");
-  return version;
-}
-
 }  // namespace
 
 TraceWriter::TraceWriter(const std::string& path, TraceMeta meta,
-                         std::size_t page_bytes,
-                         std::uint16_t format_version)
+                         std::size_t page_bytes)
     : file_(path, std::ios::binary),
       out_(&file_),
-      page_limit_(checked_page_limit(page_bytes)),
-      version_(checked_version(format_version)) {
+      page_limit_(checked_page_limit(page_bytes)) {
   if (!file_) {
     throw std::runtime_error("TraceWriter: cannot open '" + path + "'");
   }
@@ -53,11 +41,8 @@ TraceWriter::TraceWriter(const std::string& path, TraceMeta meta,
 }
 
 TraceWriter::TraceWriter(std::ostream& out, TraceMeta meta,
-                         std::size_t page_bytes,
-                         std::uint16_t format_version)
-    : out_(&out),
-      page_limit_(checked_page_limit(page_bytes)),
-      version_(checked_version(format_version)) {
+                         std::size_t page_bytes)
+    : out_(&out), page_limit_(checked_page_limit(page_bytes)) {
   write_header(meta);
 }
 
@@ -77,7 +62,7 @@ void TraceWriter::write_header(const TraceMeta& meta) {
   for (char c : format::kMagic) {
     header.push_back(static_cast<unsigned char>(c));
   }
-  put_u16(header, version_);
+  put_u16(header, format::kFormatVersion);
   put_u16(header, 0);  // reserved
   put_u32(header, 0);  // header_bytes, patched below
   put_i32(header, meta.cell);
@@ -120,14 +105,12 @@ void TraceWriter::flush_page() {
     return;
   }
   std::vector<unsigned char> header;
-  header.reserve(format::page_header_bytes(version_));
+  header.reserve(format::kPageHeaderBytes);
   put_u32(header, format::kPageMagic);
   put_u32(header, static_cast<std::uint32_t>(page_.size()));
   put_u32(header, page_events_);
   put_i64(header, page_base_time_);
-  if (version_ >= 2) {
-    format::put_summary(header, summary_);
-  }
+  format::put_summary(header, summary_);
   out_->write(reinterpret_cast<const char*>(header.data()),
               static_cast<std::streamsize>(header.size()));
   out_->write(reinterpret_cast<const char*>(page_.data()),

@@ -31,22 +31,18 @@ struct TraceMeta {
 /// Implements TraceSink so it plugs directly into a simulator tap:
 /// events append to an in-memory page that flushes to the stream once it
 /// exceeds `page_bytes`, so multi-GB campaign traces stream with bounded
-/// memory.  Version-2 pages (the default) carry the skip-index summary
-/// the analytics scan prunes with; `format_version = 1` writes the
-/// legacy summary-less layout (kept for compatibility tests and for
-/// regenerating v1 fleets).  Not thread-safe: one writer per
-/// (cell, repetition) run.
+/// memory.  Every page carries the skip-index summary the analytics
+/// scan prunes with.  Not thread-safe: one writer per (cell, repetition)
+/// run.
 class TraceWriter final : public TraceSink {
  public:
   /// Opens `path` (truncates) and writes the header.  Throws
   /// std::runtime_error when the file cannot be opened.
   explicit TraceWriter(const std::string& path, TraceMeta meta = {},
-                       std::size_t page_bytes = 0,
-                       std::uint16_t format_version = format::kFormatVersion);
+                       std::size_t page_bytes = 0);
   /// Streams to an existing ostream (not owned).
   explicit TraceWriter(std::ostream& out, TraceMeta meta = {},
-                       std::size_t page_bytes = 0,
-                       std::uint16_t format_version = format::kFormatVersion);
+                       std::size_t page_bytes = 0);
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
@@ -59,7 +55,6 @@ class TraceWriter final : public TraceSink {
   /// Idempotent; called by the destructor.  Writing after close throws.
   void close();
 
-  [[nodiscard]] std::uint16_t version() const { return version_; }
   [[nodiscard]] std::uint64_t events_written() const { return events_; }
   [[nodiscard]] std::uint64_t pages_written() const { return pages_; }
 
@@ -70,7 +65,6 @@ class TraceWriter final : public TraceSink {
   std::ofstream file_;
   std::ostream* out_;  // &file_, or the borrowed stream
   std::size_t page_limit_;
-  std::uint16_t version_;
   std::vector<unsigned char> page_;
   std::uint32_t page_events_ = 0;
   std::int64_t page_base_time_ = 0;  ///< delta base of the open page

@@ -3,12 +3,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "stats/rng.hpp"
 #include "trace/event.hpp"
-#include "trace/reader.hpp"
+#include "trace/query/mapped.hpp"
 #include "trace/writer.hpp"
 #include "util/require.hpp"
 
@@ -19,6 +21,29 @@ namespace fs = std::filesystem;
 
 fs::path temp_file(const std::string& name) {
   return fs::temp_directory_path() / ("csmabw-trace-io-" + name);
+}
+
+/// Every event of a mapped trace, in file order.
+std::vector<TraceEvent> read_all(const MappedTrace& trace) {
+  std::vector<TraceEvent> events;
+  trace.scan([&](const TraceEvent& e) { events.push_back(e); });
+  return events;
+}
+
+void write_bytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The bytes a stream-mode writer produces for `events`.
+std::string encode(const std::vector<TraceEvent>& events) {
+  std::stringstream buffer;
+  TraceWriter writer(buffer);
+  for (const TraceEvent& e : events) {
+    writer.on_event(e);
+  }
+  writer.close();
+  return buffer.str();
 }
 
 /// A pseudo-random but deterministic event stream exercising every kind,
@@ -67,13 +92,10 @@ TEST(TraceIo, RoundTripsEventsAndMeta) {
     EXPECT_GE(writer.pages_written(), 1u);
   }
 
-  TraceReader reader(path.string());
-  EXPECT_EQ(reader.meta(), meta);
-  std::vector<TraceEvent> decoded;
-  TraceEvent e;
-  while (reader.next(&e)) {
-    decoded.push_back(e);
-  }
+  const MappedTrace trace(path.string());
+  EXPECT_EQ(trace.meta(), meta);
+  EXPECT_EQ(trace.events(), events.size());
+  const std::vector<TraceEvent> decoded = read_all(trace);
   // The round-trip property: the decoded sequence IS the written one.
   ASSERT_EQ(decoded.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -85,6 +107,7 @@ TEST(TraceIo, RoundTripsEventsAndMeta) {
 TEST(TraceIo, TinyPagesStreamAndDecodeIndependently) {
   const fs::path path = temp_file("paged.cctrace");
   const std::vector<TraceEvent> events = sample_events(1000);
+  std::uint64_t pages_written = 0;
   {
     // A 64-byte page target forces hundreds of pages.
     TraceWriter writer(path.string(), TraceMeta{}, /*page_bytes=*/64);
@@ -92,94 +115,94 @@ TEST(TraceIo, TinyPagesStreamAndDecodeIndependently) {
       writer.on_event(e);
     }
     writer.close();
-    EXPECT_GT(writer.pages_written(), 100u);
+    pages_written = writer.pages_written();
+    EXPECT_GT(pages_written, 100u);
   }
-  TraceReader reader(path.string());
-  std::vector<TraceEvent> decoded;
-  TraceEvent e;
-  while (reader.next(&e)) {
-    decoded.push_back(e);
+  const MappedTrace trace(path.string());
+  ASSERT_EQ(trace.pages().size(), pages_written);
+  EXPECT_EQ(read_all(trace), events);
+  // Back to front: each page decodes on its own, from its base time.
+  std::size_t end = events.size();
+  for (std::size_t p = trace.pages().size(); p-- > 0;) {
+    const std::vector<TraceEvent> page = trace.decode_page(p);
+    ASSERT_LE(page.size(), end);
+    const std::vector<TraceEvent> expected(
+        events.begin() + static_cast<std::ptrdiff_t>(end - page.size()),
+        events.begin() + static_cast<std::ptrdiff_t>(end));
+    EXPECT_EQ(page, expected) << "page " << p;
+    end -= page.size();
   }
-  EXPECT_EQ(decoded, events);
-  EXPECT_GT(reader.pages_read(), 100u);
+  EXPECT_EQ(end, 0u);
   fs::remove(path);
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
-  std::stringstream buffer;
-  {
-    TraceWriter writer(buffer);
-    writer.close();
-  }
-  TraceReader reader(buffer);
-  TraceEvent e;
-  EXPECT_FALSE(reader.next(&e));
-  EXPECT_EQ(reader.events_read(), 0u);
+  const fs::path path = temp_file("empty.cctrace");
+  const std::string bytes = encode({});
+  write_bytes(path, bytes);
+  const MappedTrace trace(path.string());
+  EXPECT_EQ(trace.file_size(), bytes.size());  // the header alone
+  EXPECT_EQ(trace.pages().size(), 0u);
+  EXPECT_EQ(trace.events(), 0u);
+  EXPECT_TRUE(read_all(trace).empty());
+  fs::remove(path);
 }
 
 TEST(TraceIo, StreamModeMatchesFileMode) {
   const std::vector<TraceEvent> events = sample_events(200);
-  std::stringstream buffer;
+  const fs::path path = temp_file("filemode.cctrace");
   {
-    TraceWriter writer(buffer);
+    TraceWriter writer(path.string());
     for (const TraceEvent& e : events) {
       writer.on_event(e);
     }
     writer.close();
   }
-  TraceReader reader(buffer);
-  std::vector<TraceEvent> decoded;
-  TraceEvent e;
-  while (reader.next(&e)) {
-    decoded.push_back(e);
-  }
-  EXPECT_EQ(decoded, events);
+  std::ifstream in(path, std::ios::binary);
+  const std::string file_bytes{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+  EXPECT_EQ(encode(events), file_bytes);
+  EXPECT_EQ(read_all(MappedTrace(path.string())), events);
+  fs::remove(path);
 }
 
 TEST(TraceIo, RejectsForeignAndCorruptInput) {
-  {
-    std::stringstream buffer;
-    buffer << "definitely not a trace file at all";
-    EXPECT_THROW(TraceReader reader(buffer), util::PreconditionError);
+  const fs::path path = temp_file("foreign.cctrace");
+  for (const std::string& bytes :
+       {std::string("definitely not a trace file at all"), std::string()}) {
+    write_bytes(path, bytes);
+    // Both I/O paths reject it: mmap and the buffered fallback.
+    for (const bool use_mmap : {true, false}) {
+      MappedTraceOptions opts;
+      opts.use_mmap = use_mmap;
+      EXPECT_THROW(MappedTrace(path.string(), opts), util::PreconditionError)
+          << "input of " << bytes.size() << " bytes, mmap " << use_mmap;
+    }
   }
-  {
-    std::stringstream buffer;  // empty
-    EXPECT_THROW(TraceReader reader(buffer), util::PreconditionError);
-  }
+  fs::remove(path);
 }
 
 TEST(TraceIo, RejectsUnsupportedVersion) {
-  std::stringstream buffer;
-  {
-    TraceWriter writer(buffer);
-    writer.close();
-  }
-  std::string bytes = buffer.str();
+  const fs::path path = temp_file("version99.cctrace");
+  std::string bytes = encode({});
   bytes[4] = 99;  // version field, little-endian low byte
-  std::stringstream patched(bytes);
+  write_bytes(path, bytes);
   try {
-    TraceReader reader(patched);
+    const MappedTrace trace(path.string());
     FAIL() << "expected a version error";
   } catch (const util::PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("version 99"), std::string::npos)
+        << e.what();
   }
+  fs::remove(path);
 }
 
 TEST(TraceIo, RejectsTruncatedPage) {
-  std::stringstream buffer;
-  {
-    TraceWriter writer(buffer);
-    for (const TraceEvent& e : sample_events(50)) {
-      writer.on_event(e);
-    }
-    writer.close();
-  }
-  const std::string bytes = buffer.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() - 7));
-  TraceReader reader(truncated);
-  TraceEvent e;
-  EXPECT_THROW(
-      while (reader.next(&e)) {}, util::PreconditionError);
+  const fs::path path = temp_file("truncated.cctrace");
+  const std::string bytes = encode(sample_events(50));
+  write_bytes(path, bytes.substr(0, bytes.size() - 7));
+  EXPECT_THROW(MappedTrace(path.string()), util::PreconditionError);
+  fs::remove(path);
 }
 
 TEST(TraceIo, WriteAfterCloseThrows) {

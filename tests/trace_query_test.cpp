@@ -12,10 +12,8 @@
 #include "stats/rng.hpp"
 #include "trace/query/agg.hpp"
 #include "trace/query/engine.hpp"
-#include "trace/query/index.hpp"
 #include "trace/query/mapped.hpp"
 #include "trace/query/predicate.hpp"
-#include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "util/require.hpp"
@@ -54,10 +52,9 @@ std::vector<TraceEvent> sample_events(int n, std::uint64_t seed = 42) {
 /// Writes `events` as a trace of many small pages and returns the path.
 fs::path write_trace(const std::string& name,
                      const std::vector<TraceEvent>& events,
-                     std::uint16_t version = format::kFormatVersion,
                      std::size_t page_bytes = 256, TraceMeta meta = {}) {
   const fs::path path = temp_file(name);
-  TraceWriter writer(path.string(), meta, page_bytes, version);
+  TraceWriter writer(path.string(), meta, page_bytes);
   for (const TraceEvent& e : events) {
     writer.on_event(e);
   }
@@ -67,10 +64,7 @@ fs::path write_trace(const std::string& name,
 
 std::vector<TraceEvent> scan_all(const MappedTrace& trace) {
   std::vector<TraceEvent> out;
-  query::ScanStats stats;
-  query::scan_pages(trace, 0, trace.pages().size(),
-                    query::QueryPredicate{}, false, &stats,
-                    [&](const TraceEvent& e) { out.push_back(e); });
+  trace.scan([&](const TraceEvent& e) { out.push_back(e); });
   return out;
 }
 
@@ -95,17 +89,14 @@ format::PageSummary summary_of(const std::vector<TraceEvent>& events) {
 
 // ----------------------------------------------------------- mmap scan
 
-TEST(TraceQuery, MappedScanMatchesStreamingReader) {
+TEST(TraceQuery, MappedScanMatchesBufferedFallback) {
   const std::vector<TraceEvent> events = sample_events(3000);
   TraceMeta meta;
   meta.cell = 3;
   meta.label = "query-roundtrip";
-  const fs::path path =
-      write_trace("mapped.cctrace", events, format::kFormatVersion, 256,
-                  meta);
+  const fs::path path = write_trace("mapped.cctrace", events, 256, meta);
 
   const MappedTrace trace(path.string());
-  EXPECT_EQ(trace.version(), format::kFormatVersion);
   EXPECT_EQ(trace.meta(), meta);
   EXPECT_TRUE(trace.mapped());
   EXPECT_GT(trace.pages().size(), 50u);
@@ -117,16 +108,12 @@ TEST(TraceQuery, MappedScanMatchesStreamingReader) {
   no_mmap.use_mmap = false;
   const MappedTrace buffered(path.string(), no_mmap);
   EXPECT_FALSE(buffered.mapped());
-  EXPECT_EQ(scan_all(buffered), events);
-
-  // The streaming reader agrees too (v2 round-trip through both paths).
-  TraceReader reader(path.string());
-  std::vector<TraceEvent> streamed;
-  TraceEvent e;
-  while (reader.next(&e)) {
-    streamed.push_back(e);
+  EXPECT_EQ(buffered.meta(), meta);
+  ASSERT_EQ(buffered.pages().size(), trace.pages().size());
+  for (std::size_t p = 0; p < trace.pages().size(); ++p) {
+    EXPECT_EQ(buffered.pages()[p].summary, trace.pages()[p].summary);
   }
-  EXPECT_EQ(streamed, events);
+  EXPECT_EQ(scan_all(buffered), events);
   fs::remove(path);
 }
 
@@ -136,74 +123,31 @@ TEST(TraceQuery, EmbeddedSummariesDescribeTheirPages) {
   const MappedTrace trace(path.string());
   ASSERT_GT(trace.pages().size(), 10u);
   for (std::size_t p = 0; p < trace.pages().size(); ++p) {
-    ASSERT_TRUE(trace.pages()[p].has_summary);
     EXPECT_EQ(trace.pages()[p].summary, summary_of(trace.decode_page(p)))
         << "page " << p;
   }
   fs::remove(path);
 }
 
-// ---------------------------------------------------------- v1 compat
+// ------------------------------------------------------ format version
 
-TEST(TraceQuery, V1FilesStayReadable) {
-  const std::vector<TraceEvent> events = sample_events(1500);
-  const fs::path path = write_trace("v1.cctrace", events, 1);
-
-  TraceReader reader(path.string());
-  EXPECT_EQ(reader.version(), 1);
-  std::vector<TraceEvent> streamed;
-  TraceEvent e;
-  while (reader.next(&e)) {
-    streamed.push_back(e);
-  }
-  EXPECT_EQ(streamed, events);
-
-  const MappedTrace trace(path.string());
-  EXPECT_EQ(trace.version(), 1);
-  EXPECT_EQ(scan_all(trace), events);
-  for (const PageInfo& p : trace.pages()) {
-    EXPECT_FALSE(p.has_summary);  // no sidecar: v1 pages never skip
-  }
-  fs::remove(path);
-}
-
-TEST(TraceQuery, SidecarIndexBackfillsV1) {
-  const std::vector<TraceEvent> events = sample_events(1500);
-  const fs::path path = write_trace("sidecar.cctrace", events, 1);
-  const fs::path idx = sidecar_index_path(path.string());
-  fs::remove(idx);
-
-  const std::size_t pages = write_sidecar_index(path.string());
-  ASSERT_TRUE(fs::exists(idx));
-
-  const MappedTrace trace(path.string());
-  EXPECT_TRUE(trace.sidecar_loaded());
-  ASSERT_EQ(trace.pages().size(), pages);
-  for (std::size_t p = 0; p < trace.pages().size(); ++p) {
-    ASSERT_TRUE(trace.pages()[p].has_summary);
-    // Backfilled summaries equal what a v2 writer would have embedded.
-    EXPECT_EQ(trace.pages()[p].summary, summary_of(trace.decode_page(p)))
-        << "page " << p;
-  }
-  fs::remove(path);
-  fs::remove(idx);
-}
-
-TEST(TraceQuery, StaleSidecarIsRejected) {
-  const fs::path path = write_trace("stale.cctrace", sample_events(800), 1);
-  write_sidecar_index(path.string());
-  // Re-record the trace under the same name: the sidecar no longer
-  // describes these bytes.
-  write_trace("stale.cctrace", sample_events(900, /*seed=*/7), 1);
+TEST(TraceQuery, V1FilesAskToBeReRecorded) {
+  const fs::path v2 = write_trace("v2-src.cctrace", sample_events(300));
+  std::string bytes = read_file(v2);
+  bytes[4] = 1;  // version field, little-endian low byte
+  const fs::path path = temp_file("v1.cctrace");
+  write_file(path, bytes);
   try {
     const MappedTrace trace(path.string());
-    FAIL() << "expected a stale-sidecar error";
+    FAIL() << "expected a format-version error";
   } catch (const util::PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("stale"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("re-record"), std::string::npos) << what;
   }
+  fs::remove(v2);
   fs::remove(path);
-  fs::remove(sidecar_index_path(path.string()));
 }
 
 // ------------------------------------------------------------ pushdown
@@ -313,8 +257,7 @@ TEST(TraceQuery, CorruptionErrorsNamePathAndByteOffset) {
     const fs::path path = temp_file(name);
     write_file(path, mutated);
     const std::string at = "@ byte " + std::to_string(offset);
-    // Both scan paths agree on the failure and both name the file and
-    // the offset of the failing page.
+    // The failure names the file and the offset of the failing page.
     try {
       const MappedTrace trace(path.string());
       (void)scan_all(trace);
@@ -324,24 +267,13 @@ TEST(TraceQuery, CorruptionErrorsNamePathAndByteOffset) {
       EXPECT_NE(what.find(path.string()), std::string::npos) << what;
       EXPECT_NE(what.find(at), std::string::npos) << what;
     }
-    try {
-      TraceReader reader(path.string());
-      TraceEvent e;
-      while (reader.next(&e)) {
-      }
-      FAIL() << name << ": TraceReader accepted corrupt input";
-    } catch (const util::PreconditionError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(path.string()), std::string::npos) << what;
-      EXPECT_NE(what.find("@ byte"), std::string::npos) << what;
-    }
     fs::remove(path);
   };
 
   {
     // Flip the first page's summary station range to min > max.
     std::string mutated = bytes;
-    const std::size_t st = header_bytes + format::kPageHeaderBytesV1 + 2;
+    const std::size_t st = header_bytes + format::kPageSummaryOffset + 2;
     mutated[st] = '\xff';      // min_station = 0xffff
     mutated[st + 1] = '\xff';
     mutated[st + 2] = '\0';    // max_station = 0
@@ -351,7 +283,7 @@ TEST(TraceQuery, CorruptionErrorsNamePathAndByteOffset) {
   {
     // Truncate inside the first page's summary.
     const std::string mutated =
-        bytes.substr(0, header_bytes + format::kPageHeaderBytesV1 + 7);
+        bytes.substr(0, header_bytes + format::kPageSummaryOffset + 7);
     expect_throw_naming("corrupt-truncated.cctrace", mutated, header_bytes);
   }
   {
@@ -373,8 +305,7 @@ std::vector<TraceFile> synthetic_fleet(int files, int events_per_file) {
     meta.repetition = f;
     const fs::path path = write_trace(
         "fleet-" + std::to_string(f) + ".cctrace",
-        sample_events(events_per_file, /*seed=*/100 + f),
-        format::kFormatVersion, 256, meta);
+        sample_events(events_per_file, /*seed=*/100 + f), 256, meta);
     out.push_back({path.string(), meta});
   }
   return out;
@@ -540,8 +471,9 @@ TEST(TraceQuery, DelayAggregationMatchesReplayStatsBitIdentically) {
   const std::vector<TraceFile> files = list_traces(dir.string());
   ASSERT_EQ(files.size(), 6u);
 
-  // Reference: the replay-stats accumulation (shard 4 to exercise the
-  // shard merge), repetition by repetition.
+  // Reference: each file replayed on its own and folded through
+  // TrainReplayStats (shard 4 to exercise the shard merge), repetition
+  // by repetition.
   TrainReplayStats ref(
       exp::train_transient_config(files.front().meta.train_n, tcfg), 4);
   for (const TraceFile& f : files) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -10,7 +9,6 @@
 #include "exp/sweep.hpp"
 #include "queueing/fifo_trace.hpp"
 #include "stats/rng.hpp"
-#include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "traffic/probe_train.hpp"
@@ -65,15 +63,15 @@ TEST(TraceReplay, TracingDoesNotPerturbTheRun) {
 
 TEST(TraceReplay, ReconstructsTheLiveRunBitIdentically) {
   const core::Scenario scenario(fig06_config());
-  std::stringstream buffer;
-  TraceWriter writer(buffer);
+  const fs::path path =
+      fs::temp_directory_path() / "csmabw-trace-replay-live.cctrace";
+  TraceWriter writer(path.string());
   const core::TrainRun live =
       scenario.run_train(short_train(), 3, false, &writer);
   writer.close();
 
-  TraceReader reader(buffer);
-  const core::TrainRun replayed =
-      replay_train(replay_packets(reader), core::kProbeFlow);
+  const core::TrainRun replayed = replay_train_file(path.string());
+  fs::remove(path);
 
   ASSERT_EQ(replayed.packets.size(), live.packets.size());
   EXPECT_EQ(replayed.any_dropped, live.any_dropped);
