@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the library's hot paths: the
-// discrete-event engine, the DCF simulator, the probe-train repetition,
-// the exp:: campaign engine, the KS statistic, MSER, the trace-driven
-// FIFO queue, and the event-trace codec (write + mapped-scan
-// throughput).  These bound the cost of scaling the figure ensembles up
-// to the paper's 25k-70k repetitions.
+// discrete-event engine, the DCF simulator and its medium (complete-graph
+// and sparse-graph bookkeeping), the probe-train repetition, the exp::
+// campaign engine, the KS statistic, MSER, the trace-driven FIFO queue,
+// and the event-trace codec (write + mapped-scan throughput).  These
+// bound the cost of scaling the figure ensembles up to the paper's
+// 25k-70k repetitions.
 //
 // Results are additionally written as google-benchmark JSON to
 // BENCH_microbench.json (override with --benchmark_out=PATH) so CI and
@@ -34,7 +35,6 @@
 #include "stats/ks_test.hpp"
 #include "stats/mser.hpp"
 #include "stats/rng.hpp"
-#include "topo/conflict_medium.hpp"
 #include "topo/topology.hpp"
 #include "trace/query/agg.hpp"
 #include "trace/query/engine.hpp"
@@ -83,70 +83,108 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(10000);
 
-void BM_DcfSaturatedStation(benchmark::State& state) {
-  const int stations = static_cast<int>(state.range(0));
+/// Success accounting for the medium gate rows: items are successful
+/// frames, and `counters["frames"]` is the per-iteration count.  The
+/// runs are deterministic, so each row declares its success count and
+/// check() fails the row when a run disagrees.  The count never passes
+/// through DoNotOptimize(T&): with GCC and google-benchmark 1.7.1 that
+/// overload's "+r,m" asm constraint corrupted the value the items were
+/// derived from.
+class FrameCount {
+ public:
+  FrameCount(benchmark::State& state, std::int64_t declared)
+      : state_(state), declared_(declared) {}
+
+  /// Adds one iteration's successes; false (and the row errors out)
+  /// when they differ from the declared count.
+  bool check(std::uint64_t successes) {
+    const auto got = static_cast<std::int64_t>(successes);
+    if (got != declared_) {
+      state_.SkipWithError(("drained " + std::to_string(got) +
+                            " frames, the row declares " +
+                            std::to_string(declared_))
+                               .c_str());
+      return false;
+    }
+    frames_ += got;
+    return true;
+  }
+
+  /// Reports the counted frames; call once, after the timing loop.
+  void publish() {
+    state_.counters["frames"] = benchmark::Counter(
+        static_cast<double>(frames_), benchmark::Counter::kAvgIterations);
+    state_.SetItemsProcessed(frames_);
+  }
+
+ private:
+  benchmark::State& state_;
+  std::int64_t declared_;
+  std::int64_t frames_ = 0;
+};
+
+void BM_DcfSaturatedStation(benchmark::State& state, int stations,
+                            std::int64_t declared_frames) {
   core::ScenarioConfig cfg;
   cfg.seed = 1;
   for (int i = 0; i < stations; ++i) {
     cfg.contenders.push_back(core::StationSpec::saturated(1500));
   }
   const core::Scenario sc(cfg);
+  FrameCount frames(state, declared_frames);
   for (auto _ : state) {
     const core::ContentionResult r =
         sc.run_contention(TimeNs::sec(1), TimeNs::zero());
-    benchmark::DoNotOptimize(r.medium.successes);
+    if (!frames.check(r.medium.successes)) {
+      break;
+    }
   }
-  // Roughly 570 deliveries per simulated second at saturation.
-  state.SetItemsProcessed(state.iterations() * 570);
+  frames.publish();
 }
-BENCHMARK(BM_DcfSaturatedStation)->Arg(1)->Arg(2)->Arg(5);
+// Successes in one simulated second of saturation.  An exchange still on
+// the air at the horizon is not counted (counting exchanges as they start
+// gives 576, 600 and 597).
+BENCHMARK_CAPTURE(BM_DcfSaturatedStation, 1, 1, 575);
+BENCHMARK_CAPTURE(BM_DcfSaturatedStation, 2, 2, 600);
+BENCHMARK_CAPTURE(BM_DcfSaturatedStation, 5, 5, 596);
 
-void BM_MediumContention(benchmark::State& state) {
+void BM_MediumContention(benchmark::State& state, int stations,
+                         std::int64_t declared_frames) {
   // Unsaturated Poisson contenders join and leave contention on every
   // arrival, so each enqueue triggers a Medium::update_contention — the
   // path the incremental (cached-minimum) reschedule optimizes.
-  const int stations = static_cast<int>(state.range(0));
   core::ScenarioConfig cfg;
   cfg.seed = 9;
   for (int i = 0; i < stations; ++i) {
     cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(1.0)));
   }
   const core::Scenario sc(cfg);
-  std::uint64_t frames = 0;
+  FrameCount frames(state, declared_frames);
   for (auto _ : state) {
     const core::ContentionResult r =
         sc.run_contention(TimeNs::sec(1), TimeNs::zero());
-    frames = r.medium.successes;
-    benchmark::DoNotOptimize(frames);
+    if (!frames.check(r.medium.successes)) {
+      break;
+    }
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(frames));
+  frames.publish();
 }
-BENCHMARK(BM_MediumContention)->Arg(2)->Arg(5)->Arg(10);
+// Successes in one simulated second (counting exchanges as they start
+// gives 161, 399 and 574).
+BENCHMARK_CAPTURE(BM_MediumContention, 2, 2, 160);
+BENCHMARK_CAPTURE(BM_MediumContention, 5, 5, 398);
+BENCHMARK_CAPTURE(BM_MediumContention, 10, 10, 573);
 
 void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo,
                             std::int64_t declared_frames) {
-  // Saturated burst over a conflict-graph medium: every station dumps a
-  // queue at t=1ms and the run drains it through fire/advance — the
-  // spatial generalization of the Medium hot path, including the
-  // clique-reduction case (clique10 builds ConflictGraphMedium
-  // directly; production clique scenarios route to mac::Medium, so the
-  // graph path needs its own gate).
-  //
-  // Items are successful frames.  The drain is deterministic, so each
-  // row declares its success count and fails when a run disagrees.  The
-  // count never passes through DoNotOptimize(T&): with GCC and
-  // google-benchmark 1.7.1 that overload's "+r,m" asm constraint
-  // corrupted the value the items were derived from.
+  // Saturated burst over a conflict graph: every station dumps a queue
+  // at t=1ms and the run drains it through fire/advance.  The grid rows
+  // take the medium's sparse path; clique10 takes its complete-graph
+  // path, the one every clique scenario runs on.
   const int n = topo.num_nodes();
-  const auto factory = [&topo](sim::Simulator& sim,
-                               const mac::PhyParams& phy)
-      -> std::unique_ptr<mac::MediumBase> {
-    return std::make_unique<topo::ConflictGraphMedium>(sim, phy, topo);
-  };
-  std::int64_t frames = 0;
+  FrameCount frames(state, declared_frames);
   for (auto _ : state) {
-    mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 21, factory);
+    mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 21, topo);
     for (int i = 0; i < n; ++i) {
       auto& st = net.add_station();
       net.simulator().schedule_at(TimeNs::ms(1), [&st, i] {
@@ -160,20 +198,11 @@ void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo,
       });
     }
     net.simulator().run_until(TimeNs::sec(60));
-    const auto successes =
-        static_cast<std::int64_t>(net.medium().stats().successes);
-    if (successes != declared_frames) {
-      state.SkipWithError(("drained " + std::to_string(successes) +
-                           " frames, the row declares " +
-                           std::to_string(declared_frames))
-                              .c_str());
+    if (!frames.check(net.medium().stats().successes)) {
       break;
     }
-    frames += successes;
   }
-  state.counters["frames"] = benchmark::Counter(
-      static_cast<double>(frames), benchmark::Counter::kAvgIterations);
-  state.SetItemsProcessed(frames);
+  frames.publish();
 }
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid9, topo::Topology::grid(3, 3),
                   341);

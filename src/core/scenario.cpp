@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "stats/rng.hpp"
-#include "topo/conflict_medium.hpp"
 #include "topo/registry.hpp"
 #include "traffic/flow_meter.hpp"
 #include "traffic/source.hpp"
@@ -379,28 +378,21 @@ std::vector<TrafficModelPtr> parse_contender_models(
   return models;
 }
 
-/// Selects the cell's medium.  The default single collision domain —
-/// bare `clique`, plus any explicit clique that matches the cell —
-/// keeps the classic dense mac::Medium, the fast path whose outputs
-/// existing campaigns are byte-identical on; every other topology runs
-/// on a topo::ConflictGraphMedium over the registry-built graph.
-mac::WlanNetwork::MediumFactory medium_factory(const ScenarioConfig& cfg) {
-  const auto dense = [](sim::Simulator& sim, const mac::PhyParams& phy) {
-    return std::make_unique<mac::Medium>(sim, phy);
-  };
+/// Builds the cell's network in place (a returned prvalue is never
+/// copied).  The default bare `clique` needs no graph: the network's own
+/// complete graph fits any station count.  Every other topology is
+/// built by the registry for probe + contenders, and the medium picks
+/// its bookkeeping from the graph.
+mac::WlanNetwork make_network(const ScenarioConfig& cfg,
+                              std::uint64_t repetition) {
+  const std::uint64_t seed = stats::Rng(cfg.seed).fork(repetition).seed();
   if (cfg.topology == topo::kDefaultTopology) {
-    return dense;
+    return mac::WlanNetwork(cfg.phy, seed);
   }
   const int stations = 1 + static_cast<int>(cfg.contenders.size());
-  topo::Topology t =
-      topo::TopologyRegistry::global().build(cfg.topology, stations);
-  if (t.is_clique()) {
-    return dense;
-  }
-  return [t = std::move(t)](sim::Simulator& sim, const mac::PhyParams& phy)
-             -> std::unique_ptr<mac::MediumBase> {
-    return std::make_unique<topo::ConflictGraphMedium>(sim, phy, t);
-  };
+  return mac::WlanNetwork(
+      cfg.phy, seed,
+      topo::TopologyRegistry::global().build(cfg.topology, stations));
 }
 
 TrafficModelPtr parse_fifo_model(const ScenarioConfig& cfg) {
@@ -427,8 +419,7 @@ ScenarioCell::ScenarioCell(
     const ScenarioConfig& cfg, std::uint64_t repetition,
     const std::vector<TrafficModelPtr>& contender_models,
     const TrafficModelPtr& fifo_model)
-    : net_(cfg.phy, stats::Rng(cfg.seed).fork(repetition).seed(),
-           medium_factory(cfg)) {
+    : net_(make_network(cfg, repetition)) {
   CSMABW_REQUIRE(contender_models.size() == cfg.contenders.size() &&
                      fifo_model.operator bool() ==
                          cfg.fifo_cross.has_value(),

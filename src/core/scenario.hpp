@@ -49,10 +49,10 @@ struct ScenarioConfig {
   /// Carrier-sense/interference topology of the cell — a
   /// topo::TopologyRegistry spec over 1 + contenders.size() stations
   /// (station 0 is the probe).  The default bare `clique` is the
-  /// paper's single collision domain and runs on the classic
-  /// mac::Medium; any other topology (including pinned `clique:N`,
-  /// which must match the station count) is validated against the
-  /// registry and non-clique graphs run on topo::ConflictGraphMedium.
+  /// paper's single collision domain; any other topology (including
+  /// pinned `clique:N`, which must match the station count) is built by
+  /// the registry.  mac::Medium takes its complete-graph path on every
+  /// complete graph and its sparse path on the rest.
   std::string topology = "clique";
   /// One entry per contending station.
   std::vector<StationSpec> contenders;

@@ -6,7 +6,7 @@
 
 namespace csmabw::mac {
 
-DcfStation::DcfStation(sim::Simulator& sim, MediumBase& medium, int id,
+DcfStation::DcfStation(sim::Simulator& sim, Medium& medium, int id,
                        stats::Rng rng)
     : sim_(sim),
       medium_(medium),

@@ -39,7 +39,7 @@ class DcfStation {
   /// Called when a packet exhausts its retry limit.
   using DropCallback = std::function<void(const Packet&)>;
 
-  DcfStation(sim::Simulator& sim, MediumBase& medium, int id, stats::Rng rng);
+  DcfStation(sim::Simulator& sim, Medium& medium, int id, stats::Rng rng);
 
   DcfStation(const DcfStation&) = delete;
   DcfStation& operator=(const DcfStation&) = delete;
@@ -69,8 +69,7 @@ class DcfStation {
   [[nodiscard]] bool in_contention() const {
     return state_ == State::kContending;
   }
-  /// This station's slot in the medium's contender cache (assigned at
-  /// registration).
+  /// This station's node id in the medium (assigned at registration).
   [[nodiscard]] int medium_slot() const { return medium_slot_; }
   [[nodiscard]] bool is_transmitting() const {
     return state_ == State::kTransmitting;
@@ -117,7 +116,7 @@ class DcfStation {
             TimeNs aux);
 
   sim::Simulator& sim_;
-  MediumBase& medium_;
+  Medium& medium_;
   int id_;
   int medium_slot_ = -1;
   stats::Rng rng_;

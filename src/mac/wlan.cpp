@@ -1,22 +1,18 @@
 #include "mac/wlan.hpp"
 
-#include "util/require.hpp"
-
 namespace csmabw::mac {
 
 WlanNetwork::WlanNetwork(const PhyParams& phy, std::uint64_t seed)
-    : root_rng_(seed), medium_(std::make_unique<Medium>(sim_, phy)) {}
+    : root_rng_(seed), medium_(sim_, phy) {}
 
 WlanNetwork::WlanNetwork(const PhyParams& phy, std::uint64_t seed,
-                         const MediumFactory& make_medium)
-    : root_rng_(seed), medium_(make_medium(sim_, phy)) {
-  CSMABW_REQUIRE(medium_ != nullptr, "medium factory returned null");
-}
+                         topo::Topology topology)
+    : root_rng_(seed), medium_(sim_, phy, std::move(topology)) {}
 
 DcfStation& WlanNetwork::add_station() {
   const int id = static_cast<int>(stations_.size());
   stations_.push_back(std::make_unique<DcfStation>(
-      sim_, *medium_, id, root_rng_.fork("station-" + std::to_string(id))));
+      sim_, medium_, id, root_rng_.fork("station-" + std::to_string(id))));
   return *stations_.back();
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -8,6 +7,7 @@
 #include "mac/station.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+#include "topo/topology.hpp"
 
 namespace csmabw::mac {
 
@@ -19,16 +19,13 @@ namespace csmabw::mac {
 /// `traffic/`) attach to stations by reference.
 class WlanNetwork {
  public:
-  /// Builds the cell's medium.  The default constructor installs the
-  /// classic single-collision-domain Medium; a factory injects any
-  /// MediumBase implementation (e.g. topo::ConflictGraphMedium) without
-  /// mac/ depending on the layer that defines it.
-  using MediumFactory = std::function<std::unique_ptr<MediumBase>(
-      sim::Simulator&, const PhyParams&)>;
-
+  /// One collision domain (a complete graph) over any number of
+  /// stations.
   WlanNetwork(const PhyParams& phy, std::uint64_t seed);
+  /// A cell over conflict graph `topology`: exactly its node count of
+  /// stations must be added before the simulation starts.
   WlanNetwork(const PhyParams& phy, std::uint64_t seed,
-              const MediumFactory& make_medium);
+              topo::Topology topology);
 
   WlanNetwork(const WlanNetwork&) = delete;
   WlanNetwork& operator=(const WlanNetwork&) = delete;
@@ -38,8 +35,8 @@ class WlanNetwork {
   DcfStation& add_station();
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] MediumBase& medium() { return *medium_; }
-  [[nodiscard]] const PhyParams& phy() const { return medium_->phy(); }
+  [[nodiscard]] Medium& medium() { return medium_; }
+  [[nodiscard]] const PhyParams& phy() const { return medium_.phy(); }
   [[nodiscard]] DcfStation& station(int i) { return *stations_.at(i); }
   [[nodiscard]] int num_stations() const {
     return static_cast<int>(stations_.size());
@@ -59,12 +56,12 @@ class WlanNetwork {
   /// Binds the medium's hot-path counters to a metrics registry (or
   /// unbinds them with nullptr).  Observational only, like set_trace:
   /// counters never influence the simulation.
-  void set_metrics(obs::Registry* reg) { medium_->bind_metrics(reg); }
+  void set_metrics(obs::Registry* reg) { medium_.bind_metrics(reg); }
 
  private:
   sim::Simulator sim_;
   stats::Rng root_rng_;
-  std::unique_ptr<MediumBase> medium_;
+  Medium medium_;
   std::vector<std::unique_ptr<DcfStation>> stations_;
 };
 

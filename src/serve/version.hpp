@@ -17,6 +17,6 @@
 
 namespace csmabw::serve {
 
-inline constexpr std::string_view kEngineVersionSalt = "csmabw-engine-v1";
+inline constexpr std::string_view kEngineVersionSalt = "csmabw-engine-v2";
 
 }  // namespace csmabw::serve

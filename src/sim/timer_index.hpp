@@ -9,8 +9,8 @@
 namespace csmabw::sim {
 
 /// Addressable min-index over (time, id) keys for a fixed universe of
-/// small integer ids [0, n) — the incremental fire-time index behind
-/// topo::ConflictGraphMedium's O(degree) hot path.
+/// small integer ids [0, n) — the incremental fire-time and
+/// transmission-end index behind mac::Medium's O(degree) sparse path.
 ///
 /// A 4-ary min-heap of 16-byte (TimeNs, id) entries plus a dense
 /// id -> heap-position table gives O(log n) insert / update / erase and

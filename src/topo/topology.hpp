@@ -87,8 +87,8 @@ struct Topology {
   [[nodiscard]] int num_nodes() const {
     return static_cast<int>(sense.size());
   }
-  /// True when both edge sets are complete — one collision domain,
-  /// byte-for-byte the behavior of the classic mac::Medium.
+  /// True when both edge sets are complete — one collision domain, on
+  /// which mac::Medium keeps its complete-graph bookkeeping.
   [[nodiscard]] bool is_clique() const;
   [[nodiscard]] bool senses(int a, int b) const;
   [[nodiscard]] bool interferes(int a, int b) const;

@@ -1,17 +1,22 @@
-// Verifies the pooled event core is allocation-free in steady state,
-// two ways: the queue's own allocation counter (slab chunks +
-// heap-vector growth), and — where sanitizers don't own the allocator —
-// a replacement global operator new that counts every heap allocation
-// in the process.  The replacement is binary-wide but only counts while
-// `g_counting` is set, which happens strictly inside the measured loops
-// (no gtest assertions, no stream I/O in between).
+// Verifies the pooled event core and the medium's hot path are
+// allocation-free in steady state, two ways: the queue's own allocation
+// counter (slab chunks + heap-vector growth), and — where sanitizers
+// don't own the allocator — a replacement global operator new that
+// counts every heap allocation in the process.  The replacement is
+// binary-wide but only counts while `g_counting` is set, which happens
+// strictly inside the measured loops (no gtest assertions, no stream
+// I/O in between).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "mac/station.hpp"
+#include "mac/wlan.hpp"
 #include "sim/simulator.hpp"
+#include "topo/topology.hpp"
 #include "util/time.hpp"
 
 // ASan/MSan interpose the allocator and tag each allocation with the
@@ -115,6 +120,60 @@ TEST(EventAllocation, ScheduleCancelChurnIsHeapFree) {
 #if CSMABW_NEW_HOOK
   EXPECT_EQ(g_allocs.load(), 0u);
 #endif
+}
+
+/// Drains a full queue on every station of a cell over `topology` twice
+/// and counts the allocations of the second drain only: the first one
+/// grows the event slab and every station's queue to their high-water
+/// marks, and the enqueues themselves (queue growth) are not counted.
+void expect_heap_free_drain(topo::Topology topology) {
+  const int n = topology.num_nodes();
+  mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 3,
+                       std::move(topology));
+  std::vector<mac::DcfStation*> stations;
+  for (int i = 0; i < n; ++i) {
+    stations.push_back(&net.add_station());
+  }
+  const auto fill = [&stations] {
+    for (mac::DcfStation* st : stations) {
+      for (int k = 0; k < 20; ++k) {
+        mac::Packet p;
+        p.flow = st->id();
+        p.seq = k;
+        p.size_bytes = 1500;
+        st->enqueue(p);
+      }
+    }
+  };
+  fill();
+  net.simulator().run();
+
+  fill();
+  const std::uint64_t queue_allocs_before = net.simulator().event_allocations();
+  g_allocs.store(0);
+  g_counting.store(true);
+  net.simulator().run();
+  g_counting.store(false);
+
+  EXPECT_EQ(net.simulator().event_allocations(), queue_allocs_before);
+#if CSMABW_NEW_HOOK
+  EXPECT_EQ(g_allocs.load(), 0u);
+#endif
+  std::uint64_t delivered = 0;
+  for (const mac::DcfStation* st : stations) {
+    EXPECT_EQ(st->queue_length(), 0u);
+    delivered += st->stats().delivered;
+  }
+  EXPECT_EQ(net.medium().stats().successes, delivered);
+  EXPECT_GT(net.medium().stats().collisions, 0u);
+}
+
+TEST(EventAllocation, CompleteGraphMediumDrainIsHeapFree) {
+  expect_heap_free_drain(topo::Topology::clique(10));
+}
+
+TEST(EventAllocation, SparseGraphMediumDrainIsHeapFree) {
+  expect_heap_free_drain(topo::Topology::grid(5, 5));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "core/method.hpp"
@@ -35,6 +36,9 @@ exp::Campaign small_campaign(std::uint64_t seed = 21) {
   spec.repetitions = 4;
   return exp::Campaign(spec);
 }
+
+/// The salt of a hypothetical next engine version.
+std::string bumped_salt() { return std::string(kEngineVersionSalt) + "+1"; }
 
 TrainRepRecord sample_train_record() {
   TrainRepRecord record;
@@ -158,7 +162,7 @@ TEST(ResultCache, KeyChangesWithEveryAddressedInput) {
                train_rep_key(cell.scenario, cell.train, true, 0).digest);
   // Bumped engine version salt.
   EXPECT_FALSE(base.digest == train_rep_key(cell.scenario, cell.train,
-                                            false, 0, "csmabw-engine-v2")
+                                            false, 0, bumped_salt())
                                   .digest);
   // The default salt is the engine version salt (not the empty string).
   EXPECT_EQ(base.digest, train_rep_key(cell.scenario, cell.train, false, 0,
@@ -179,7 +183,7 @@ TEST(ResultCache, SaltBumpMissesWarmCache) {
           .has_value());
   EXPECT_FALSE(cache
                    .lookup(train_rep_key(cell.scenario, cell.train, false,
-                                         0, "csmabw-engine-v2"))
+                                         0, bumped_salt()))
                    .has_value());
 }
 
