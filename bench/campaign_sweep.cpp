@@ -27,22 +27,23 @@
 // record different campaigns into different directories (the delay
 // aggregation rejects mixed recordings).
 //
-// Fleet-scale serving (src/serve/):
-//   --cache=DIR           consult/fill a content-addressed result cache;
-//                         repetitions already cached are served instead
-//                         of simulated (byte-identical output either way)
-//   --checkpoint=FILE     persist every completed repetition to a
-//                         .ccshard file, atomically flushed every
-//                         --checkpoint-every=N records (default 64)
-//   --resume              reload --checkpoint=FILE (tolerating a torn
-//                         tail from a crash) and only run what's missing
-//   --shard=I/N           run every N-th work shard in this process and
-//                         emit only the --checkpoint shard file (no
-//                         rows); run N processes with I = 0..N-1
-//   --merge=f1,f2,...     load finished shard files and produce the
-//                         normal output without simulating anything
-// The serve stats line "# serve: computed=... cache_hits=... resumed=..."
-// goes to stderr.  A warm-cache or merge run reports computed=0.
+// Fleet-scale serving (src/serve/), with the content-addressed result
+// cache as the campaign's one result store:
+//   --cache=DIR           consult/fill the cache; repetitions already
+//                         cached are served instead of simulated
+//                         (byte-identical output either way).  Every
+//                         record is stored as soon as it completes, so
+//                         a killed run resumes by running it again with
+//                         the same --cache
+//   --shard=I/N           run every N-th work shard in this process into
+//                         --cache=DIR and emit no rows; run N processes
+//                         with I = 0..N-1 (on several hosts, one
+//                         directory each, copied together afterwards)
+//   --merge               serve the whole campaign from --cache=DIR and
+//                         produce the normal output without simulating
+//                         anything; a missing record is an error
+// The serve stats line "# serve: computed=... cache_hits=..." goes to
+// stderr.  A warm-cache or merge run reports computed=0.
 //
 // Observability (src/obs/):
 //   --metrics-out=FILE    write a csmabw-run-report JSON (schema v1):
@@ -52,7 +53,7 @@
 //                         utilization
 //   --prof=FILE           write a Chrome/Perfetto trace of campaign
 //                         spans (per-rep jobs, scenario builds, cache
-//                         lookups/stores, checkpoint flushes, merge);
+//                         lookups/stores, merge);
 //                         open in ui.perfetto.dev
 //   --obs                 enable the metrics registry without a report
 // All observability output goes to its own files / stderr; the campaign
@@ -69,6 +70,10 @@
 // labelling cells with the full grammar including `topology=`.
 // --list-scenarios, --list-methods and --list-topologies print the
 // registries (names + option keys) and exit.
+//
+// Bad input (an unknown or misspelled flag, a malformed value, a merge
+// whose cache lacks a record) prints one `campaign_sweep: error: ...`
+// line to stderr and exits 2.
 //
 // Examples:
 //   campaign_sweep --contenders=1,2,3 --cross-mbps=1,2,4
@@ -154,144 +159,93 @@ int list_topologies() {
   return 0;
 }
 
-/// Owning counterpart of exp::CampaignServeOptions, built from the
-/// --cache/--checkpoint/--resume/--shard/--merge flags.
+/// Owning counterpart of serve::CampaignServeOptions, built from the
+/// --cache/--shard/--merge flags.
 struct ServeState {
   std::unique_ptr<serve::ResultCache> cache;
-  std::unique_ptr<serve::CheckpointWriter> checkpoint;
-  serve::ResultSet resume_set;
   serve::CampaignServeOptions io;
   bool active = false;      // any serve flag present
-  bool shard_only = false;  // emit the shard file instead of rows
+  bool shard_only = false;  // fill the cache instead of emitting rows
 };
 
 bool serve_flags_present(const util::Args& args) {
-  return args.has("cache") || args.has("checkpoint") || args.has("resume") ||
-         args.has("shard") || args.has("merge");
+  return args.has("cache") || args.has("shard") || args.has("merge");
 }
 
-// Out-param rather than a return value: `st.io` points back into `st`
-// (resume set, cache, checkpoint), so the object must never move.
-// Serve accounting goes through `obs`'s registry (always enabled when
-// any serve flag is present, so the "# serve:" stderr line keeps its
-// exact values with or without --metrics-out).
+// Out-param rather than a return value: `st.io` points into `st` (the
+// cache), so the object must never move.  Serve accounting goes through
+// `obs`'s registry (always enabled when any serve flag is present, so
+// the "# serve:" stderr line keeps its exact values with or without
+// --metrics-out).  The engine ticks `progress` once per repetition.
 void init_serve_state(ServeState& st, const util::Args& args,
-                      serve::CampaignKind kind, std::uint64_t fingerprint,
-                      std::uint64_t seed, exp::Progress* progress,
-                      bench::ObsState& obs) {
+                      exp::Progress* progress, bench::ObsState& obs) {
   st.io.metrics = obs.metrics();
   st.io.profiler = obs.profiler();
+  st.io.progress = progress;
   st.active = serve_flags_present(args);
   if (!st.active) {
     return;
   }
 
-  const std::string checkpoint_path = args.get("checkpoint", "");
-  CSMABW_REQUIRE(!args.has("checkpoint-every") || !checkpoint_path.empty(),
-                 "--checkpoint-every tunes --checkpoint=FILE; give the flag");
-  const int flush_every = args.get("checkpoint-every", 64);
-  CSMABW_REQUIRE(flush_every > 0, "--checkpoint-every must be > 0");
-
-  if (args.has("merge")) {
-    CSMABW_REQUIRE(!args.has("shard") && !args.has("resume") &&
-                       checkpoint_path.empty(),
-                   "--merge loads finished shard files; it cannot be "
-                   "combined with --shard, --resume or --checkpoint");
-    const std::vector<std::string> paths = args.get_strings("merge", {});
-    CSMABW_REQUIRE(!paths.empty(), "--merge needs at least one shard file");
-    for (const std::string& path : paths) {
-      serve::load_shard_file(path, kind, fingerprint, &st.resume_set);
-    }
-    // Merge never simulates: a repetition missing from every shard file
-    // is an incomplete fleet run and must fail loudly, not silently
-    // recompute into a partially-fresh result.
-    st.io.forbid_compute = true;
-  } else {
-    const std::string shard_text = args.get("shard", "");
-    if (!shard_text.empty()) {
-      st.io.shard = serve::parse_shard(shard_text);
-      CSMABW_REQUIRE(!checkpoint_path.empty(),
-                     "--shard writes this process's slice to a shard "
-                     "file; give --checkpoint=FILE");
-      st.shard_only = true;
-    }
-    if (args.get("resume", false)) {
-      CSMABW_REQUIRE(!checkpoint_path.empty(),
-                     "--resume reloads --checkpoint=FILE; give the flag");
-      // A checkpoint that never got its first flush is a fresh run.
-      if (std::filesystem::exists(checkpoint_path)) {
-        serve::load_shard_file(checkpoint_path, kind, fingerprint,
-                               &st.resume_set);
-      }
-    }
-    if (!checkpoint_path.empty()) {
-      st.checkpoint = std::make_unique<serve::CheckpointWriter>(
-          checkpoint_path, kind, fingerprint,
-          "campaign_sweep seed=" + std::to_string(seed), flush_every);
-      if (st.resume_set.size() > 0) {
-        st.checkpoint->preload(st.resume_set);
-      }
-      st.io.checkpoint = st.checkpoint.get();
-    }
-  }
-
   const std::string cache_dir = args.get("cache", "");
+  const bool merge = args.get("merge", false);
+  CSMABW_REQUIRE(!cache_dir.empty() || (!merge && !args.has("shard")),
+                 "--merge and --shard need --cache=DIR: shard processes "
+                 "store their records there and a merge reads them back");
+  if (merge) {
+    CSMABW_REQUIRE(!args.has("shard"),
+                   "--merge serves a finished campaign from the cache; it "
+                   "cannot be combined with --shard");
+    CSMABW_REQUIRE(std::filesystem::is_directory(cache_dir),
+                   "--merge reads --cache=" + cache_dir +
+                       ", which is not a directory");
+    // Merge never simulates: a repetition missing from the cache is an
+    // incomplete fleet run and must fail loudly, not silently recompute
+    // into a partially-fresh result.
+    st.io.forbid_compute = true;
+  }
+  if (args.has("shard")) {
+    st.io.shard = serve::parse_shard(args.get("shard", ""));
+    st.shard_only = true;
+  }
   if (!cache_dir.empty()) {
     st.cache = std::make_unique<serve::ResultCache>(cache_dir, obs.metrics(),
                                                     obs.profiler());
     st.io.cache = st.cache.get();
   }
-  if (st.resume_set.size() > 0) {
-    st.io.resume = &st.resume_set;
-  }
-  st.io.progress = progress;
 }
 
 // stderr, like progress: stdout stays byte-identical whether results
-// were computed, cached or resumed.  Values read the merged registry
-// counters the engine and cache maintain.
+// were computed or cached.  Values read the merged registry counters
+// the engine and cache maintain.
 void print_serve_stats(const ServeState& st, const obs::Registry& registry) {
   if (!st.active) {
     return;
   }
   std::cerr << "# serve: computed=" << registry.value("exp.reps.computed")
-            << " cache_hits=" << registry.value("exp.reps.cache_hit")
-            << " resumed=" << registry.value("exp.reps.resumed");
+            << " cache_hits=" << registry.value("exp.reps.cache_hit");
   if (st.cache != nullptr) {
     std::cerr << " cache_stores=" << st.cache->stores();
-  }
-  if (st.checkpoint != nullptr) {
-    std::cerr << " checkpoint_records=" << st.checkpoint->records();
   }
   std::cerr << "\n";
 }
 
+void print_shard_done(const ServeState& st) {
+  std::cerr << "# shard " << st.io.shard.index << "/" << st.io.shard.count
+            << " stored in cache " << st.cache->root() << "\n";
+}
+
 int run_method_sweep(const exp::Campaign& campaign, const util::Args& args,
-                     bool json, std::ostream& out, std::uint64_t seed,
-                     bench::ObsState& obs) {
-  const bool serving = serve_flags_present(args);
-  // Observability rides the serving engine path (the classic overload
-  // carries no io options); output is byte-identical either way.
-  const bool engine_io = serving || obs.metrics() != nullptr ||
-                         obs.profiler() != nullptr;
+                     bool json, std::ostream& out, bench::ObsState& obs) {
   exp::Progress progress(exp::count_method_runs(campaign), "methods",
                          bench::progress_enabled(args));
-  // When serving, the engine ticks per repetition (cached vs computed);
-  // the runner must not tick the same jobs again.
-  const exp::Runner runner =
-      bench::runner_from(args, engine_io ? nullptr : &progress);
+  const exp::Runner runner = bench::runner_from(args);
   // stderr, not stdout: stdout must stay byte-identical across --threads.
   std::cerr << "# threads: " << runner.threads() << "\n";
   ServeState st;
-  init_serve_state(st, args, serve::CampaignKind::kMethod,
-                   serving ? exp::method_campaign_fingerprint(campaign) : 0,
-                   seed, &progress, obs);
-  const std::vector<exp::MethodRun> runs =
-      engine_io ? exp::run_method_campaign(campaign,
-                                           exp::MethodCampaignConfig{},
-                                           runner, st.io)
-                : exp::run_method_campaign(
-                      campaign, exp::MethodCampaignConfig{}, runner);
+  init_serve_state(st, args, &progress, obs);
+  const std::vector<exp::MethodRun> runs = exp::run_method_campaign(
+      campaign, exp::MethodCampaignConfig{}, runner, st.io);
   progress.finish();
   print_serve_stats(st, obs.registry());
   std::vector<obs::CellObs> cell_obs(campaign.cells().size());
@@ -307,10 +261,7 @@ int run_method_sweep(const exp::Campaign& campaign, const util::Args& args,
   }
   obs.finish(cell_obs, runner.threads());
   if (st.shard_only) {
-    std::cerr << "# shard " << st.io.shard.index << "/"
-              << st.io.shard.count << " written: "
-              << args.get("checkpoint", "") << " ("
-              << st.checkpoint->records() << " records)\n";
+    print_shard_done(st);
     return 0;
   }
 
@@ -347,10 +298,14 @@ int run_method_sweep(const exp::Campaign& campaign, const util::Args& args,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"list-methods", "list-scenarios", "list-topologies",
+                      "format", "out", "csv", "jsonl", "seed", "scenarios",
+                      "topologies", "contenders", "cross-mbps", "phy", "fifo",
+                      "fifo-mbps", "train", "probe-mbps", "methods", "reps",
+                      "trace", "threads", "progress", "cache", "shard",
+                      "merge", "metrics-out", "prof", "obs"});
 
   if (args.get("list-methods", false)) {
     return list_methods();
@@ -371,9 +326,9 @@ int main(int argc, char** argv) {
   if (shard_run) {
     CSMABW_REQUIRE(!json && !args.has("csv") && !args.has("jsonl") &&
                        !args.has("out"),
-                   "--shard runs emit a shard file, not rows; drop "
-                   "--csv/--jsonl/--out/--format=json and --merge the "
-                   "shard files instead");
+                   "--shard runs fill the cache, not rows; drop "
+                   "--csv/--jsonl/--out/--format=json and run --merge "
+                   "--cache=DIR once every shard is done");
   }
 
   // --out=FILE redirects the stdout payload (table or JSONL) to a file;
@@ -436,7 +391,7 @@ int main(int argc, char** argv) {
                  "--trace or --methods");
   CSMABW_REQUIRE(spec.trace_dir.empty() || !serve_flags_present(args),
                  "--trace records a repetition only when it simulates; "
-                 "cached/resumed repetitions would leave holes in the "
+                 "cached repetitions would leave holes in the "
                  "trace directory — drop --trace or the serve flags");
   const exp::Campaign campaign(spec);
 
@@ -455,35 +410,19 @@ int main(int argc, char** argv) {
   bench::ObsState obs(args, "campaign_sweep", serve_flags_present(args));
 
   if (!spec.methods.empty()) {
-    return run_method_sweep(campaign, args, json, *out, spec.campaign_seed,
-                            obs);
+    return run_method_sweep(campaign, args, json, *out, obs);
   }
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;  // KS of the first packet vs the steady pool
-  const bool serving = serve_flags_present(args);
-  // Observability rides the serving engine path (the classic overload
-  // carries no io options); output is byte-identical either way.
-  const bool engine_io = serving || obs.metrics() != nullptr ||
-                         obs.profiler() != nullptr;
-  // Serving runs tick per repetition from inside the engine (so cached
-  // repetitions stay out of the ETA); classic runs keep the coarser
-  // per-work-shard ticks through the runner.
-  exp::Progress progress(engine_io ? campaign.total_repetitions()
-                                   : exp::count_train_shards(campaign, tcfg),
-                         "campaign", bench::progress_enabled(args));
-  const exp::Runner runner =
-      bench::runner_from(args, engine_io ? nullptr : &progress);
+  exp::Progress progress(campaign.total_repetitions(), "campaign",
+                         bench::progress_enabled(args));
+  const exp::Runner runner = bench::runner_from(args);
   // stderr, not stdout: stdout must stay byte-identical across --threads.
   std::cerr << "# threads: " << runner.threads() << "\n";
   ServeState st;
-  init_serve_state(
-      st, args, serve::CampaignKind::kTrain,
-      serving ? exp::train_campaign_fingerprint(campaign, tcfg) : 0,
-      spec.campaign_seed, &progress, obs);
-  const auto results =
-      engine_io ? exp::run_train_campaign(campaign, tcfg, runner, st.io)
-                : exp::run_train_campaign(campaign, tcfg, runner);
+  init_serve_state(st, args, &progress, obs);
+  const auto results = exp::run_train_campaign(campaign, tcfg, runner, st.io);
   progress.finish();
   print_serve_stats(st, obs.registry());
   {
@@ -495,10 +434,7 @@ int main(int argc, char** argv) {
     obs.finish(cell_obs, runner.threads());
   }
   if (st.shard_only) {
-    std::cerr << "# shard " << st.io.shard.index << "/"
-              << st.io.shard.count << " written: "
-              << args.get("checkpoint", "") << " ("
-              << st.checkpoint->records() << " records)\n";
+    print_shard_done(st);
     return 0;
   }
 
@@ -572,4 +508,10 @@ int main(int argc, char** argv) {
        << collector.column_stat(transient_col).min() << " / max "
        << collector.column_stat(transient_col).max() << " packets\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("campaign_sweep", run, argc, argv);
 }

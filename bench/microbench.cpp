@@ -11,6 +11,7 @@
 // future changes have a machine-readable perf trajectory.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -250,8 +251,19 @@ void BM_CampaignEngine(benchmark::State& state) {
     exp::RunnerOptions opts;
     opts.threads = threads;
     const exp::Runner runner(opts);
-    benchmark::DoNotOptimize(
-        exp::run_train_campaign(campaign, tcfg, runner));
+    const std::vector<exp::TrainCellStats> cells =
+        exp::run_train_campaign(campaign, tcfg, runner);
+    // Items are repetitions: every one must have been accounted for.
+    const bool counted = std::all_of(
+        cells.begin(), cells.end(), [&](const exp::TrainCellStats& c) {
+          return c.used + c.dropped == spec.repetitions;
+        });
+    if (!counted) {
+      state.SkipWithError("a cell's used + dropped differs from its "
+                          "declared repetitions");
+      break;
+    }
+    benchmark::DoNotOptimize(cells.data());
   }
   state.SetItemsProcessed(state.iterations() * campaign.total_repetitions());
 }
@@ -305,7 +317,11 @@ void BM_CacheLookupHit(benchmark::State& state) {
   std::int64_t bytes = 0;
   for (auto _ : state) {
     auto hit = cache.lookup(key);
-    bytes = static_cast<std::int64_t>(hit ? hit->size() : 0);
+    if (!hit) {
+      state.SkipWithError("lookup missed the stored entry");
+      break;
+    }
+    bytes = static_cast<std::int64_t>(hit->size());
     benchmark::DoNotOptimize(hit);
   }
   state.SetItemsProcessed(state.iterations());

@@ -31,7 +31,6 @@
 // of an older format version) prints one `trace_tool: error: ...` line
 // to stderr and exits 2.
 #include <array>
-#include <exception>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -309,10 +308,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "trace_tool: error: " << e.what() << "\n";
-    return 2;
-  }
+  return bench::run_tool("trace_tool", run, argc, argv);
 }

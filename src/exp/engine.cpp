@@ -58,10 +58,9 @@ void validate_serve_options(const serve::CampaignServeOptions& io) {
   CSMABW_REQUIRE(io.shard.count >= 1 && io.shard.index >= 0 &&
                      io.shard.index < io.shard.count,
                  "shard selection needs 0 <= index < count");
-  CSMABW_REQUIRE(!io.forbid_compute || io.resume != nullptr ||
-                     io.cache != nullptr,
-                 "forbid_compute without a resume set or cache could "
-                 "never produce a result");
+  CSMABW_REQUIRE(!io.forbid_compute || io.cache != nullptr,
+                 "forbid_compute without a cache could never produce a "
+                 "result");
 }
 
 /// The engine's metric handles, bound once per campaign run.  Every
@@ -69,7 +68,6 @@ void validate_serve_options(const serve::CampaignServeOptions& io) {
 struct EngineObs {
   obs::Counter computed;     ///< exp.reps.computed
   obs::Counter cache_hit;    ///< exp.reps.cache_hit
-  obs::Counter resumed;      ///< exp.reps.resumed
   obs::Counter sim_events;   ///< sim.events.processed
   obs::Counter sim_alloc;    ///< sim.slab.alloc
   obs::Gauge slot_capacity;  ///< sim.queue.slot_capacity (high-water)
@@ -85,7 +83,6 @@ EngineObs bind_engine_obs(const serve::CampaignServeOptions& io) {
   if (io.metrics != nullptr) {
     m.computed = io.metrics->counter("exp.reps.computed");
     m.cache_hit = io.metrics->counter("exp.reps.cache_hit");
-    m.resumed = io.metrics->counter("exp.reps.resumed");
     m.sim_events = io.metrics->counter("sim.events.processed");
     m.sim_alloc = io.metrics->counter("sim.slab.alloc");
     m.slot_capacity = io.metrics->gauge("sim.queue.slot_capacity");
@@ -95,69 +92,42 @@ EngineObs bind_engine_obs(const serve::CampaignServeOptions& io) {
   }
   m.timing = m.rep_wall.bound() ||
              (io.profiler != nullptr && io.profiler->enabled());
-  if (io.checkpoint != nullptr) {
-    // Single-threaded setup point: route flush accounting to the same
-    // registry/profiler before any worker can trigger a flush.
-    io.checkpoint->bind_obs(io.metrics, io.profiler);
-  }
   return m;
 }
 
-/// Serves a (cell, repetition) record: resume set first, then the
-/// content-addressed cache, else nullopt (the caller simulates).  Hits
-/// are counted, per-repetition progress is ticked as cached, and cache
-/// hits are forwarded to the checkpoint so the persisted file converges
-/// to full coverage.
+/// Serves a (cell, repetition) record from the content-addressed
+/// cache, else nullopt (the caller simulates).  Hits are counted and
+/// per-repetition progress is ticked as cached.
 template <typename Record>
 std::optional<Record> serve_record(
-    const serve::CampaignServeOptions& io, const EngineObs& m, int cell,
-    int rep, const serve::CacheKey& key,
+    const serve::CampaignServeOptions& io, const EngineObs& m,
+    const serve::CacheKey& key,
     bool (*decode)(const unsigned char*, std::size_t, Record*)) {
+  if (io.cache == nullptr) {
+    return std::nullopt;
+  }
   Record record;
-  if (io.resume != nullptr) {
-    if (const std::vector<unsigned char>* payload =
-            io.resume->find(cell, rep)) {
-      CSMABW_REQUIRE(decode(payload->data(), payload->size(), &record),
-                     "corrupt record for cell " + std::to_string(cell) +
-                         " rep " + std::to_string(rep) +
-                         " in the resume/merge set");
-      m.resumed.add();
-      if (io.progress != nullptr) {
-        io.progress->tick_cached();
-      }
-      return record;
-    }
+  const std::optional<std::vector<unsigned char>> payload =
+      io.cache->lookup(key);
+  // A payload that fails to decode is a corrupt entry: treat as a miss,
+  // the recompute overwrites it.
+  if (!payload || !decode(payload->data(), payload->size(), &record)) {
+    return std::nullopt;
   }
-  if (io.cache != nullptr) {
-    if (std::optional<std::vector<unsigned char>> payload =
-            io.cache->lookup(key)) {
-      // A payload that fails to decode is a corrupt entry: treat as a
-      // miss, the recompute below overwrites it.
-      if (decode(payload->data(), payload->size(), &record)) {
-        m.cache_hit.add();
-        if (io.checkpoint != nullptr) {
-          io.checkpoint->add(cell, rep, std::move(*payload));
-        }
-        if (io.progress != nullptr) {
-          io.progress->tick_cached();
-        }
-        return record;
-      }
-    }
+  m.cache_hit.add();
+  if (io.progress != nullptr) {
+    io.progress->tick_cached();
   }
-  return std::nullopt;
+  return record;
 }
 
-/// Persists a freshly computed record to the cache and checkpoint and
-/// ticks it as computed work.
+/// Stores a freshly computed record in the cache and ticks it as
+/// computed work.
 void persist_record(const serve::CampaignServeOptions& io, const EngineObs& m,
-                    int cell, int rep, const serve::CacheKey& key,
-                    std::vector<unsigned char> payload) {
+                    const serve::CacheKey& key,
+                    const std::vector<unsigned char>& payload) {
   if (io.cache != nullptr) {
     io.cache->store(key, payload);
-  }
-  if (io.checkpoint != nullptr) {
-    io.checkpoint->add(cell, rep, std::move(payload));
   }
   m.computed.add();
   if (io.progress != nullptr) {
@@ -167,10 +137,10 @@ void persist_record(const serve::CampaignServeOptions& io, const EngineObs& m,
 
 [[noreturn]] void missing_record(int cell, int rep) {
   throw util::PreconditionError(
-      "merge/serve: no record for cell " + std::to_string(cell) + " rep " +
+      "merge: no record for cell " + std::to_string(cell) + " rep " +
       std::to_string(rep) +
-      " and computing is forbidden — are all shard files present and "
-      "complete?");
+      " in the cache and computing is forbidden — did every shard "
+      "process finish into this cache directory?");
 }
 
 }  // namespace
@@ -201,18 +171,6 @@ std::uint64_t method_rep_seed(std::uint64_t campaign_seed, int cell_index,
 
 int count_method_runs(const Campaign& campaign) {
   return static_cast<int>(campaign.total_repetitions());
-}
-
-std::vector<MethodRun> run_method_campaign(const Campaign& campaign,
-                                           const MethodCampaignConfig& cfg,
-                                           const Runner& runner) {
-  return run_method_campaign(campaign, cfg, runner,
-                             serve::CampaignServeOptions{});
-}
-
-std::uint64_t method_campaign_fingerprint(const Campaign& campaign) {
-  return serve::campaign_fingerprint(campaign, serve::CampaignKind::kMethod,
-                                     "");
 }
 
 std::vector<MethodRun> run_method_campaign(
@@ -266,8 +224,7 @@ std::vector<MethodRun> run_method_campaign(
         }
         if (std::optional<core::MeasurementReport> served =
                 serve_record<core::MeasurementReport>(
-                    io, m, job.cell_index, job.repetition, key,
-                    &serve::decode_method_record)) {
+                    io, m, key, &serve::decode_method_record)) {
           run.report = std::move(*served);
           run.served = true;
           return run;
@@ -297,39 +254,15 @@ std::vector<MethodRun> run_method_campaign(
         }
         std::vector<unsigned char> payload;
         serve::encode_method_record(run.report, payload);
-        persist_record(io, m, job.cell_index, job.repetition, key,
-                       std::move(payload));
+        persist_record(io, m, key, payload);
         return run;
       });
-  if (io.checkpoint != nullptr) {
-    io.checkpoint->flush();
-  }
   return runs;
 }
 
 int count_train_shards(const Campaign& campaign,
                        const TrainCampaignConfig& cfg) {
   return static_cast<int>(make_shards(campaign, cfg).size());
-}
-
-std::vector<TrainCellStats> run_train_campaign(const Campaign& campaign,
-                                               const TrainCampaignConfig& cfg,
-                                               const Runner& runner) {
-  return run_train_campaign(campaign, cfg, runner,
-                            serve::CampaignServeOptions{});
-}
-
-std::uint64_t train_campaign_fingerprint(const Campaign& campaign,
-                                         const TrainCampaignConfig& cfg) {
-  // shard_size shapes the accumulation (and therefore floating-point
-  // association) order; sample_contender_queue shapes record content.
-  // Analysis knobs (ks_prefix, steady_tail, raw_indices, queue_prefix)
-  // post-process the raw records and stay out of the fingerprint.
-  std::string extra = "shard_size=" + std::to_string(cfg.shard_size) +
-                      ";sample_queue=" +
-                      (cfg.sample_contender_queue ? "1" : "0");
-  return serve::campaign_fingerprint(campaign, serve::CampaignKind::kTrain,
-                                     extra);
 }
 
 std::vector<TrainCellStats> run_train_campaign(
@@ -347,9 +280,9 @@ std::vector<TrainCellStats> run_train_campaign(
   // Each shard accumulates independently; merging in shard order keeps
   // raw-sample order identical to a serial run and the merged moments
   // independent of which worker ran which shard.  Repetitions served
-  // from the resume set or the cache feed the accumulators the exact
-  // double bits a live run would have, so where a record came from
-  // never shows in the output.
+  // from the cache feed the accumulators the exact double bits a live
+  // run would have, so where a record came from never shows in the
+  // output.
   std::vector<std::unique_ptr<TrainCellStats>> shard_stats(shards.size());
   runner.for_each(static_cast<int>(shards.size()), [&](int s) {
     const Shard& shard = shards[static_cast<std::size_t>(s)];
@@ -379,8 +312,7 @@ std::vector<TrainCellStats> run_train_campaign(
       serve::TrainRepRecord record;
       if (std::optional<serve::TrainRepRecord> served =
               serve_record<serve::TrainRepRecord>(
-                  io, m, cell.index, rep, key,
-                  &serve::decode_train_record)) {
+                  io, m, key, &serve::decode_train_record)) {
         record = std::move(*served);
         ++stats->obs.cached;
       } else {
@@ -430,7 +362,7 @@ std::vector<TrainCellStats> run_train_campaign(
         }
         std::vector<unsigned char> payload;
         serve::encode_train_record(record, payload);
-        persist_record(io, m, cell.index, rep, key, std::move(payload));
+        persist_record(io, m, key, payload);
       }
       if (record.dropped) {
         ++stats->dropped;
@@ -449,9 +381,6 @@ std::vector<TrainCellStats> run_train_campaign(
     }
     shard_stats[static_cast<std::size_t>(s)] = std::move(stats);
   });
-  if (io.checkpoint != nullptr) {
-    io.checkpoint->flush();
-  }
 
   obs::ScopedSpan merge_span(io.profiler, "exp.merge");
   std::vector<TrainCellStats> merged;

@@ -79,31 +79,20 @@ struct TrainCellStats {
 /// Repetition r of cell c is always `Scenario(cell.scenario).run_train(
 /// cell.train, r)` — the same calls the legacy serial benches made — so
 /// results depend only on (campaign_seed, cell index, repetition).
-[[nodiscard]] std::vector<TrainCellStats> run_train_campaign(
-    const Campaign& campaign, const TrainCampaignConfig& cfg,
-    const Runner& runner);
-
-/// The serving variant: before simulating a (cell, repetition), the
-/// engine consults `io.resume` (loaded checkpoint / merged shard
-/// files), then `io.cache` (content-addressed result cache), and only
-/// executes the misses; every completed repetition is persisted through
-/// `io.checkpoint` and cache misses are stored back.  With
+///
+/// Serving: before simulating a (cell, repetition), the engine consults
+/// `io.cache` (content-addressed result cache) and only executes the
+/// misses, storing each computed record back as it completes.  With
 /// `io.shard = I/N` only every N-th work shard (the same fixed ordering
-/// the thread runner uses) runs in this process.  Wherever a record
-/// comes from, the accumulation arithmetic is identical — records carry
-/// the exact double bits the accumulators consume — so the merged
-/// statistics (and any CSV/JSONL derived from them) are byte-identical
-/// to an uninterrupted single-process run.  The default-constructed
-/// options reproduce the classic overload exactly.
+/// the thread runner uses) runs in this process; with
+/// `io.forbid_compute` a cache miss throws instead of simulating.
+/// Wherever a record comes from, the accumulation arithmetic is
+/// identical — records carry the exact double bits the accumulators
+/// consume — so the merged statistics (and any CSV/JSONL derived from
+/// them) are byte-identical to an uncached single-process run.
 [[nodiscard]] std::vector<TrainCellStats> run_train_campaign(
     const Campaign& campaign, const TrainCampaignConfig& cfg,
-    const Runner& runner, const serve::CampaignServeOptions& io);
-
-/// Fingerprint binding checkpoint/shard files to this train campaign
-/// (includes the config knobs that shape record content and
-/// accumulation order: shard_size, sample_contender_queue).
-[[nodiscard]] std::uint64_t train_campaign_fingerprint(
-    const Campaign& campaign, const TrainCampaignConfig& cfg);
+    const Runner& runner, const serve::CampaignServeOptions& io = {});
 
 /// Counts the work shards `run_train_campaign` will execute (the job
 /// total to hand a Progress reporter).
@@ -116,9 +105,9 @@ struct MethodRun {
   int cell_index = 0;
   int repetition = 0;
   core::MeasurementReport report;
-  /// Compute wall time of this repetition (0 when served from a record
-  /// set or when observability is off) and whether it was served rather
-  /// than simulated.  Purely observational.
+  /// Compute wall time of this repetition (0 when served from the
+  /// cache or when observability is off) and whether it was served
+  /// rather than simulated.  Purely observational.
   std::int64_t wall_ns = 0;
   bool served = false;
 };
@@ -153,23 +142,16 @@ struct MethodCampaignConfig {
 /// Results are returned in (cell, repetition) order regardless of the
 /// thread count.  Every cell must carry a method spec (a `methods` axis
 /// on the SweepSpec); throws util::PreconditionError otherwise.
+///
+/// Serving as in run_train_campaign.  Jobs not selected by `io.shard`
+/// return placeholder MethodRun entries with an empty report.method —
+/// shard processes fill the cache, not rows, so callers in shard mode
+/// ignore the return value.  A non-null `io.cache` requires the default
+/// transport (content addressing hashes the cell's scenario; a custom
+/// make_transport is invisible to it).
 [[nodiscard]] std::vector<MethodRun> run_method_campaign(
     const Campaign& campaign, const MethodCampaignConfig& cfg,
-    const Runner& runner);
-
-/// Serving variant (see the train overload).  Jobs not selected by
-/// `io.shard` return placeholder MethodRun entries with an empty
-/// report.method — shard processes emit shard files, not rows, so
-/// callers in shard mode ignore the return value.  A non-null
-/// `io.cache` requires the default transport (content addressing hashes
-/// the cell's scenario; a custom make_transport is invisible to it).
-[[nodiscard]] std::vector<MethodRun> run_method_campaign(
-    const Campaign& campaign, const MethodCampaignConfig& cfg,
-    const Runner& runner, const serve::CampaignServeOptions& io);
-
-/// Fingerprint binding checkpoint/shard files to this method campaign.
-[[nodiscard]] std::uint64_t method_campaign_fingerprint(
-    const Campaign& campaign);
+    const Runner& runner, const serve::CampaignServeOptions& io = {});
 
 /// Runs an arbitrary per-cell function across the pool and collects the
 /// results by cell index (for campaigns whose cells are not train

@@ -29,7 +29,7 @@ void Progress::tick(std::int64_t n) {
   std::scoped_lock lock(mu_);
   done_ += n;
   // The compute clock starts at the first computed tick, so cached
-  // prefixes (resume/cache startup) never dilute the rate estimate.
+  // prefixes (cache startup) never dilute the rate estimate.
   // With no cached prefix the whole run elapsed *is* compute time, so
   // anchor at construction — identical to the classic estimate.
   if (compute_start_ns_ < 0) {
@@ -109,7 +109,7 @@ void Progress::print_locked(bool final_line) {
        << util::Table::format(pct, 1) << "%) elapsed "
        << util::Table::format(elapsed_s, 1) << "s";
   // ETA extrapolates from *computed* units over the compute clock (see
-  // eta_locked): cached/resumed repetitions finish in microseconds and
+  // eta_locked): cached repetitions finish in microseconds and
   // contribute neither units nor elapsed time to the estimate.
   const double eta_s = eta_locked(now);
   if (!final_line && eta_s >= 0.0) {

@@ -13,12 +13,12 @@ namespace csmabw::exp {
 /// a stream — stderr by default, so that bench stdout (tables, CSV
 /// mirrors) stays machine-parseable and byte-identical whether or not
 /// progress is shown.  Prints are rate-limited; `tick()` is cheap enough
-/// to call once per work shard from every worker thread.
+/// to call once per repetition from every worker thread.
 ///
 /// Timing uses the observability clock source (obs::now_ns), and the
 /// ETA extrapolates from a *compute clock* that starts at the first
-/// computed (non-cached) tick: a resumed run that serves its first ten
-/// thousand repetitions from a checkpoint in milliseconds must not
+/// computed (non-cached) tick: a re-run that serves its first ten
+/// thousand repetitions from the result cache in milliseconds must not
 /// divide that startup elapsed over the few remaining simulated reps
 /// and report an absurd ETA.
 class Progress {
@@ -33,8 +33,8 @@ class Progress {
   Progress& operator=(const Progress&) = delete;
 
   void tick(std::int64_t n = 1);
-  /// Ticks `n` units that were pre-completed (served from a result
-  /// cache or a resumed checkpoint) rather than computed.  They count
+  /// Ticks `n` units that were pre-completed (served from the result
+  /// cache) rather than computed.  They count
   /// toward `done()` but are excluded from the ETA's rate estimate —
   /// near-instantaneous cache hits must not make the remaining real
   /// work look instantaneous too.  The final line reports them as

@@ -52,7 +52,7 @@ struct CellObs {
   int cell = 0;
   std::int64_t wall_ns = 0;     ///< compute wall time (non-deterministic)
   std::int64_t computed = 0;    ///< repetitions simulated in this run
-  std::int64_t cached = 0;      ///< repetitions served (cache/resume)
+  std::int64_t cached = 0;      ///< repetitions served from the cache
   std::int64_t sim_events = 0;  ///< simulator events across computed reps
 
   void merge(const CellObs& other) {

@@ -1,29 +1,33 @@
 #include "serve/campaign_io.hpp"
 
-#include "serve/cache_key.hpp"
-#include "serve/version.hpp"
-#include "util/hash.hpp"
+#include <stdexcept>
+
+#include "util/require.hpp"
 
 namespace csmabw::serve {
 
-std::uint64_t campaign_fingerprint(const exp::Campaign& campaign,
-                                   CampaignKind kind,
-                                   std::string_view extra) {
-  util::StableHash128 hash;
-  hash.add(kEngineVersionSalt);
-  hash.add(static_cast<std::int64_t>(kind));
-  hash.add(static_cast<std::int64_t>(campaign.campaign_seed()));
-  hash.add(extra);
-  hash.add(static_cast<std::int64_t>(campaign.cells().size()));
-  for (const exp::Cell& cell : campaign.cells()) {
-    hash.add(std::string_view(canonical_scenario(cell.scenario)));
-    hash.add(cell.train.n);
-    hash.add(cell.train.size_bytes);
-    hash.add(cell.train.gap.count());
-    hash.add(std::string_view(cell.method));
-    hash.add(cell.repetitions);
+ShardSel parse_shard(const std::string& text) {
+  const std::size_t slash = text.find('/');
+  CSMABW_REQUIRE(slash != std::string::npos && slash > 0 &&
+                     slash + 1 < text.size(),
+                 "--shard expects I/N (e.g. 0/3), got `" + text + "`");
+  ShardSel sel;
+  try {
+    std::size_t used = 0;
+    sel.index = std::stoi(text.substr(0, slash), &used);
+    CSMABW_REQUIRE(used == slash, "--shard index is not a number");
+    sel.count = std::stoi(text.substr(slash + 1), &used);
+    CSMABW_REQUIRE(used == text.size() - slash - 1,
+                   "--shard count is not a number");
+  } catch (const std::invalid_argument&) {
+    CSMABW_REQUIRE(false, "--shard expects I/N (e.g. 0/3), got `" + text +
+                              "`");
+  } catch (const std::out_of_range&) {
+    CSMABW_REQUIRE(false, "--shard value out of range: `" + text + "`");
   }
-  return hash.digest().lo;
+  CSMABW_REQUIRE(sel.count >= 1 && sel.index >= 0 && sel.index < sel.count,
+                 "--shard needs 0 <= I < N, got `" + text + "`");
+  return sel;
 }
 
 }  // namespace csmabw::serve

@@ -1,52 +1,64 @@
 #pragma once
 
 // Serving options a campaign run carries into exp::run_train_campaign /
-// exp::run_method_campaign: where to look results up (resume set, then
-// content-addressed cache), where to persist completed repetitions
-// (checkpoint writer), which slice of the work grid this process owns
-// (--shard=I/N), and the counters/progress surface.
+// exp::run_method_campaign: the content-addressed result cache every
+// (cell, repetition) record is served from and stored into, which slice
+// of the work grid this process owns (--shard=I/N), and the
+// counters/progress surface.
 //
-// All layers compose: a sharded process can simultaneously consult the
-// cache, resume from its own checkpoint and persist new work.  Every
-// combination preserves the engine's byte-identity contract, because
-// records store the exact bits the accumulators consume and the
-// accumulation order never depends on where a record came from.
+// The cache is the campaign's one result store.  It stores each
+// computed record atomically as soon as it completes, so a killed run
+// resumes by running again with the same cache, `--shard=I/N`
+// processes fill one cache directory (or one each, copied together
+// afterwards — entry names are content hashes and never conflict), and
+// a merge is a run that serves everything from the cache and never
+// simulates (forbid_compute).  Every combination preserves the engine's
+// byte-identity contract, because records store the exact bits the
+// accumulators consume and the accumulation order never depends on
+// where a record came from.
 //
 // Serve accounting lives in the observability registry (obs/metrics):
-// the engine binds `exp.reps.computed`, `exp.reps.cache_hit` and
-// `exp.reps.resumed` counters on `metrics` at run start, and the cache
-// and checkpoint writer emit their own `serve.*` metrics/spans when
-// constructed with the same registry/profiler.
+// the engine binds `exp.reps.computed` and `exp.reps.cache_hit`
+// counters on `metrics` at run start, and the cache emits its own
+// `serve.cache.*` metrics/spans when constructed with the same
+// registry/profiler.
 
-#include <cstdint>
 #include <string>
 
 #include "exp/progress.hpp"
-#include "exp/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "serve/result_cache.hpp"
-#include "serve/shard_file.hpp"
 
 namespace csmabw::serve {
 
+/// A `--shard=I/N` work partition: the fixed job ordering of the thread
+/// runner (train work shards, method (cell, rep) jobs) is dealt
+/// round-robin — ordinal o belongs to process o mod N.
+struct ShardSel {
+  int index = 0;
+  int count = 1;
+
+  [[nodiscard]] bool selects(int ordinal) const {
+    return ordinal % count == index;
+  }
+};
+
+/// Parses "I/N" with 0 <= I < N; throws util::PreconditionError on
+/// malformed input.
+[[nodiscard]] ShardSel parse_shard(const std::string& text);
+
 /// Serving configuration of one campaign run.  Everything optional and
-/// non-owning; the default object reproduces the classic engine
-/// behaviour exactly (compute every repetition, no persistence).
+/// non-owning; the default object computes every repetition and
+/// persists nothing.
 struct CampaignServeOptions {
-  /// Content-addressed result cache; consulted per (cell, repetition)
-  /// after the resume set, filled on every computed miss.
+  /// Content-addressed result cache; consulted per (cell, repetition),
+  /// filled on every computed miss.
   ResultCache* cache = nullptr;
-  /// Already-completed records (loaded checkpoint or merged shard
-  /// files); served without touching cache or simulator.
-  const ResultSet* resume = nullptr;
-  /// Every completed repetition (computed or cache-served) is added
-  /// here; the writer flushes atomically every N records.
-  CheckpointWriter* checkpoint = nullptr;
   /// This process's slice of the fixed work ordering; {0, 1} = all.
   ShardSel shard{};
-  /// Merge mode: throw instead of simulating when a repetition is
-  /// covered by neither the resume set nor the cache.
+  /// Merge mode: throw instead of simulating when the cache holds no
+  /// record for a repetition.
   bool forbid_compute = false;
   /// Per-repetition progress: computed reps tick(), served reps
   /// tick_cached() — the reporter's ETA then reflects real work only.
@@ -56,24 +68,9 @@ struct CampaignServeOptions {
   /// disabled = no accounting (the engine output is identical either
   /// way — obs is purely observational).
   obs::Registry* metrics = nullptr;
-  /// Span profiler for per-(cell,rep) jobs, scenario builds, checkpoint
-  /// flushes and the shard merge; null = no spans.
+  /// Span profiler for per-(cell,rep) jobs, scenario builds and the
+  /// shard merge; null = no spans.
   obs::Profiler* profiler = nullptr;
-
-  [[nodiscard]] bool passthrough() const {
-    return cache == nullptr && resume == nullptr && checkpoint == nullptr &&
-           !shard.partitioned() && !forbid_compute && progress == nullptr &&
-           metrics == nullptr && profiler == nullptr;
-  }
 };
-
-/// Fingerprint binding a checkpoint/shard file to one campaign: hashes
-/// the engine version salt, the campaign kind, the campaign seed,
-/// every cell's canonical scenario + train/method spec + repetition
-/// count, and `extra` (kind-specific knobs that change record content
-/// or accumulation order, e.g. the train config's shard_size).
-[[nodiscard]] std::uint64_t campaign_fingerprint(const exp::Campaign& campaign,
-                                                 CampaignKind kind,
-                                                 std::string_view extra);
 
 }  // namespace csmabw::serve

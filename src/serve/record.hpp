@@ -1,8 +1,7 @@
 #pragma once
 
-// Per-(cell, repetition) result records — the unit of storage shared by
-// all three serving layers (result cache entries, checkpoint files and
-// process-shard files all carry the same payload encoding).
+// Per-(cell, repetition) result records — the payload of every result
+// cache entry (serve/result_cache.hpp).
 //
 // A record captures exactly what the campaign engine feeds its per-cell
 // accumulators, with doubles stored as their exact bit patterns, so a

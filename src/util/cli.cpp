@@ -76,6 +76,19 @@ bool Args::get(std::string_view name, bool def) const {
                           " expects a boolean, got '" + v + "'");
 }
 
+void Args::require_known(
+    std::initializer_list<std::string_view> known) const {
+  std::string unknown;
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown += (unknown.empty() ? "--" : ", --") + name;
+    }
+  }
+  if (!unknown.empty()) {
+    throw PreconditionError("unknown option " + unknown);
+  }
+}
+
 namespace {
 
 std::vector<std::string> split_list(std::string_view name,

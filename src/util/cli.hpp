@@ -1,5 +1,6 @@
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -10,8 +11,9 @@ namespace csmabw::util {
 /// Tiny command-line option parser for the bench and example binaries.
 ///
 /// Accepts `--name=value`, `--name value` and boolean `--name` forms.
-/// Unknown options are collected and reported via `unknown()` so binaries
-/// can warn without aborting (benches are run unattended in a loop).
+/// Any `--name` is accepted at parse time; a binary that lists its
+/// options calls `require_known()` so a misspelled one fails instead of
+/// being silently ignored.
 class Args {
  public:
   Args(int argc, const char* const* argv);
@@ -39,14 +41,14 @@ class Args {
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
-  [[nodiscard]] const std::vector<std::string>& unknown_values() const {
-    return unknown_;
-  }
+
+  /// Throws util::PreconditionError naming every given option that is
+  /// not in `known` (e.g. `--thraeds=4`).
+  void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string, std::less<>> options_;
   std::vector<std::string> positional_;
-  std::vector<std::string> unknown_;
 };
 
 /// Reads the CSMABW_BENCH_SCALE environment variable (default 1.0).

@@ -365,14 +365,14 @@ TEST(Progress, EtaNeedsAComputedTick) {
 }
 
 TEST(Progress, CachedPrefixDoesNotInflateEta) {
-  // A resumed run serves a large cached prefix after some startup
+  // A re-run serves a large cached prefix after some startup
   // delay.  The classic estimate would divide that startup elapsed over
   // the computed units; the compute clock starts at the first computed
   // tick instead, so the ETA stays proportional to the compute rate.
   exp::Progress progress(1000, "test", /*enabled=*/false);
   const std::int64_t t0 = obs::now_ns();
   while (obs::now_ns() - t0 < 20'000'000) {
-    // ~20 ms of "startup": listing shards, reading the checkpoint.
+    // ~20 ms of "startup": building cells, opening the cache.
   }
   progress.tick_cached(990);
   progress.tick(9);  // nine computed units, essentially instantaneous

@@ -1,5 +1,7 @@
-// End-to-end serving tests: cache warm-up, crash/resume from a torn
-// checkpoint, multi-process sharding + merge — each must reproduce an
+// End-to-end serving tests on the one result store, the content-
+// addressed cache: warm-up, resume from a partial cache with a torn
+// entry, multi-process sharding + merge (into one directory, and into
+// per-host directories copied together) — each must reproduce an
 // uninterrupted run's merged statistics bit-for-bit.
 #include <gtest/gtest.h>
 
@@ -103,124 +105,116 @@ TEST(ServeCampaign, WarmCacheReproducesBitwiseWithZeroCompute) {
   EXPECT_EQ(warm_metrics.value("exp.reps.cache_hit"), 20);
 }
 
-TEST(ServeCampaign, ResumeFromTornCheckpointReproducesBitwise) {
+TEST(ServeCampaign, ResumeFromPartialCacheReproducesBitwise) {
   const Campaign campaign(small_spec());
   const TrainCampaignConfig cfg = small_config();
   const auto baseline = run_train_campaign(campaign, cfg, runner_with(2));
-  const std::uint64_t fingerprint =
-      train_campaign_fingerprint(campaign, cfg);
 
+  // The killed run: half the work shards stored their records.
   const fs::path dir = fresh_dir("resume");
-  fs::create_directories(dir);
-  const std::string ck = (dir / "run.ccshard").string();
+  std::int64_t stored = 0;
   {
-    serve::CheckpointWriter writer(ck, serve::CampaignKind::kTrain,
-                                   fingerprint, "test", /*flush_every=*/4);
+    serve::ResultCache cache(dir.string());
     serve::CampaignServeOptions io;
-    io.checkpoint = &writer;
-    const auto full = run_train_campaign(campaign, cfg, runner_with(2), io);
-    expect_bitwise_equal(baseline, full);
+    io.cache = &cache;
+    io.shard = serve::ShardSel{0, 2};
+    (void)run_train_campaign(campaign, cfg, runner_with(2), io);
+    stored = cache.stores();
   }
+  ASSERT_GT(stored, 0);
+  ASSERT_LT(stored, 20);
 
-  // Simulate the crash: tear the checkpoint mid-record.  The loader
-  // keeps the clean prefix; the engine recomputes the rest.
-  fs::resize_file(ck, fs::file_size(ck) - 11);
-  serve::ResultSet completed;
-  serve::load_shard_file(ck, serve::CampaignKind::kTrain, fingerprint,
-                         &completed);
-  ASSERT_GT(completed.size(), 0u);
-  ASSERT_LT(completed.size(), 20u);
+  // Tear one entry mid-record: a torn entry is a miss and is recomputed.
+  std::vector<fs::path> entries;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ".ccres") {
+      entries.push_back(e.path());
+    }
+  }
+  ASSERT_EQ(static_cast<std::int64_t>(entries.size()), stored);
+  fs::resize_file(entries.front(), fs::file_size(entries.front()) - 11);
 
-  serve::CheckpointWriter writer(ck, serve::CampaignKind::kTrain,
-                                 fingerprint, "test", 4);
-  writer.preload(completed);
+  serve::ResultCache cache(dir.string());
   obs::Registry metrics;
   serve::CampaignServeOptions io;
-  io.checkpoint = &writer;
-  io.resume = &completed;
+  io.cache = &cache;
   io.metrics = &metrics;
   const auto resumed = run_train_campaign(campaign, cfg, runner_with(4), io);
   expect_bitwise_equal(baseline, resumed);
-  EXPECT_EQ(metrics.value("exp.reps.resumed"),
-            static_cast<std::int64_t>(completed.size()));
-  EXPECT_EQ(metrics.value("exp.reps.computed"),
-            20 - static_cast<std::int64_t>(completed.size()));
-  // The rewritten checkpoint is complete again.
-  serve::ResultSet after;
-  serve::load_shard_file(ck, serve::CampaignKind::kTrain, fingerprint,
-                         &after);
-  EXPECT_EQ(after.size(), 20u);
+  EXPECT_EQ(metrics.value("exp.reps.cache_hit"), stored - 1);
+  EXPECT_EQ(metrics.value("exp.reps.computed"), 20 - (stored - 1));
+}
+
+/// Runs shard `i` of `n` into the cache rooted at `root`.
+void run_shard_into(const Campaign& campaign, const TrainCampaignConfig& cfg,
+                    const fs::path& root, int i, int n) {
+  serve::ResultCache cache(root.string());
+  serve::CampaignServeOptions io;
+  io.cache = &cache;
+  io.shard = serve::ShardSel{i, n};
+  (void)run_train_campaign(campaign, cfg, runner_with(2), io);
+}
+
+/// The merge: serves every repetition from `root`, never simulating.
+std::vector<TrainCellStats> merge_from(const Campaign& campaign,
+                                       const TrainCampaignConfig& cfg,
+                                       const fs::path& root) {
+  serve::ResultCache cache(root.string());
+  obs::Registry metrics;
+  serve::CampaignServeOptions io;
+  io.cache = &cache;
+  io.forbid_compute = true;
+  io.metrics = &metrics;
+  auto merged = run_train_campaign(campaign, cfg, runner_with(4), io);
+  EXPECT_EQ(metrics.value("exp.reps.computed"), 0);
+  EXPECT_EQ(metrics.value("exp.reps.cache_hit"), 20);
+  return merged;
 }
 
 TEST(ServeCampaign, ThreeWayShardMergeReproducesBitwise) {
   const Campaign campaign(small_spec());
   const TrainCampaignConfig cfg = small_config();
   const auto baseline = run_train_campaign(campaign, cfg, runner_with(4));
-  const std::uint64_t fingerprint =
-      train_campaign_fingerprint(campaign, cfg);
 
   const fs::path dir = fresh_dir("shards");
-  fs::create_directories(dir);
-  std::vector<std::string> files;
   for (int i = 0; i < 3; ++i) {
-    const std::string path =
-        (dir / ("shard" + std::to_string(i) + ".ccshard")).string();
-    serve::CheckpointWriter writer(path, serve::CampaignKind::kTrain,
-                                   fingerprint, "shard", 8);
-    serve::CampaignServeOptions io;
-    io.checkpoint = &writer;
-    io.shard = serve::ShardSel{i, 3};
-    (void)run_train_campaign(campaign, cfg, runner_with(2), io);
-    files.push_back(path);
+    run_shard_into(campaign, cfg, dir, i, 3);
   }
+  expect_bitwise_equal(baseline, merge_from(campaign, cfg, dir));
+}
 
-  serve::ResultSet merged;
-  for (const std::string& path : files) {
-    serve::load_shard_file(path, serve::CampaignKind::kTrain, fingerprint,
-                           &merged);
-  }
-  EXPECT_EQ(merged.size(), 20u);
+TEST(ServeCampaign, ShardCachesCopiedTogetherMergeBitwise) {
+  // The multi-host recipe: each host fills its own cache directory, the
+  // directories are copied together, and the merge serves from the
+  // union.  Entry names are content hashes, so the copy never conflicts.
+  const Campaign campaign(small_spec());
+  const TrainCampaignConfig cfg = small_config();
+  const auto baseline = run_train_campaign(campaign, cfg, runner_with(4));
 
-  obs::Registry metrics;
-  serve::CampaignServeOptions io;
-  io.resume = &merged;
-  io.forbid_compute = true;
-  io.metrics = &metrics;
-  const auto remerged = run_train_campaign(campaign, cfg, runner_with(4), io);
-  expect_bitwise_equal(baseline, remerged);
-  EXPECT_EQ(metrics.value("exp.reps.computed"), 0);
-  EXPECT_EQ(metrics.value("exp.reps.resumed"), 20);
+  const fs::path host_a = fresh_dir("host-a");
+  const fs::path host_b = fresh_dir("host-b");
+  run_shard_into(campaign, cfg, host_a, 0, 2);
+  run_shard_into(campaign, cfg, host_b, 1, 2);
+  fs::copy(host_b, host_a,
+           fs::copy_options::recursive | fs::copy_options::skip_existing);
+  expect_bitwise_equal(baseline, merge_from(campaign, cfg, host_a));
 }
 
 TEST(ServeCampaign, IncompleteMergeFailsLoudly) {
   const Campaign campaign(small_spec());
   const TrainCampaignConfig cfg = small_config();
-  serve::ResultSet empty;
+  serve::ResultCache empty(fresh_dir("empty").string());
   serve::CampaignServeOptions io;
-  io.resume = &empty;
+  io.cache = &empty;
   io.forbid_compute = true;
   EXPECT_THROW(
       (void)run_train_campaign(campaign, cfg, runner_with(1), io),
       util::PreconditionError);
-}
-
-TEST(ServeCampaign, FingerprintTracksCampaignAndConfig) {
-  const Campaign a(small_spec());
-  SweepSpec other_spec = small_spec();
-  other_spec.campaign_seed = 32;
-  const Campaign b(other_spec);
-  TrainCampaignConfig cfg = small_config();
-
-  EXPECT_EQ(train_campaign_fingerprint(a, cfg),
-            train_campaign_fingerprint(a, cfg));
-  EXPECT_NE(train_campaign_fingerprint(a, cfg),
-            train_campaign_fingerprint(b, cfg));
-  TrainCampaignConfig other_cfg = cfg;
-  other_cfg.shard_size = 5;  // changes accumulation order
-  EXPECT_NE(train_campaign_fingerprint(a, cfg),
-            train_campaign_fingerprint(a, other_cfg));
-  EXPECT_NE(train_campaign_fingerprint(a, cfg),
-            method_campaign_fingerprint(a));
+  // Without a cache, forbid_compute could never produce a result.
+  io.cache = nullptr;
+  EXPECT_THROW(
+      (void)run_train_campaign(campaign, cfg, runner_with(1), io),
+      util::PreconditionError);
 }
 
 TEST(ServeCampaign, MethodCampaignServesFromCache) {
@@ -288,6 +282,30 @@ TEST(ServeCampaign, ProgressSeparatesCachedFromComputed) {
   const std::string out = sink.str();
   EXPECT_NE(out.find("cached=6"), std::string::npos);
   EXPECT_NE(out.find("computed=4"), std::string::npos);
+}
+
+TEST(ShardSelTest, RoundRobinPartitionCoversEveryOrdinalOnce) {
+  const int n = 3;
+  for (int ordinal = 0; ordinal < 20; ++ordinal) {
+    int owners = 0;
+    for (int i = 0; i < n; ++i) {
+      owners += serve::ShardSel{i, n}.selects(ordinal) ? 1 : 0;
+    }
+    EXPECT_EQ(owners, 1) << "ordinal " << ordinal;
+  }
+  EXPECT_TRUE(serve::ShardSel{}.selects(7));
+}
+
+TEST(ShardSelTest, ParseShardValidates) {
+  const serve::ShardSel sel = serve::parse_shard("1/3");
+  EXPECT_EQ(sel.index, 1);
+  EXPECT_EQ(sel.count, 3);
+  EXPECT_THROW((void)serve::parse_shard(""), util::PreconditionError);
+  EXPECT_THROW((void)serve::parse_shard("3"), util::PreconditionError);
+  EXPECT_THROW((void)serve::parse_shard("3/3"), util::PreconditionError);
+  EXPECT_THROW((void)serve::parse_shard("-1/3"), util::PreconditionError);
+  EXPECT_THROW((void)serve::parse_shard("0/0"), util::PreconditionError);
+  EXPECT_THROW((void)serve::parse_shard("a/b"), util::PreconditionError);
 }
 
 }  // namespace

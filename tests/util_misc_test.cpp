@@ -145,6 +145,18 @@ TEST(Args, DefaultsWhenMissing) {
   EXPECT_FALSE(args.has("n"));
 }
 
+TEST(Args, RequireKnownRejectsMisspelledOptions) {
+  const char* argv[] = {"prog", "--threads=4", "--thraeds=4", "in.txt"};
+  Args args(4, argv);
+  EXPECT_NO_THROW(args.require_known({"threads", "thraeds"}));
+  try {
+    args.require_known({"threads", "reps"});
+    FAIL() << "a misspelled option passed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("--thraeds"), std::string::npos);
+  }
+}
+
 // --- bench scaling ---
 
 TEST(BenchScale, ScaledRepsAtLeastOne) {
