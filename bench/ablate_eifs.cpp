@@ -33,10 +33,9 @@ SatResult saturate(int stations, bool use_eifs, double seconds,
                        (seconds - 1.0)};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"duration", "csv", "threads", "progress"});
   const double seconds = args.get("duration", 6.0) * util::bench_scale() + 1.0;
 
   bench::announce("Ablation: EIFS",
@@ -62,4 +61,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: EIFS slightly lowers aggregate throughput under "
                "contention (longer deference after collisions)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ablate_eifs", run, argc, argv);
 }

@@ -3,53 +3,34 @@
 // arrive at an idle station?  We repeat the Fig 6 experiment with the
 // rule enabled (standard/NS2 behaviour) and disabled (every access draws
 // a random backoff), and also toggle post-backoff.
+//
+// The three variants are the cells of one campaign on the exp:: engine
+// (--threads N).
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/scenario.hpp"
-#include "core/transient.hpp"
+#include "exp/engine.hpp"
 
 using namespace csmabw;
 
 namespace {
 
-std::vector<double> mean_curve(bool immediate, bool post_backoff, int reps,
-                               int train, int show, std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.phy.immediate_access = immediate;
-  cfg.phy.post_backoff = post_backoff;
-  cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(4.0), 1500));
-  core::Scenario sc(cfg);
-
-  traffic::TrainSpec spec;
-  spec.n = train;
-  spec.size_bytes = 1500;
-  spec.gap = BitRate::mbps(5.0).gap_for(1500);
-
-  core::TransientConfig tc;
-  tc.train_length = train;
-  tc.ks_prefix = 1;
-  tc.steady_tail = train / 2;
-  core::TransientAnalyzer ta(tc);
-  for (int rep = 0; rep < reps; ++rep) {
-    const core::TrainRun run =
-        sc.run_train(spec, static_cast<std::uint64_t>(rep));
-    if (!run.any_dropped) {
-      ta.add_repetition(run.access_delays_s());
-    }
-  }
-  std::vector<double> out;
-  for (int i = 0; i < show; ++i) {
-    out.push_back(ta.mean_at(i) / ta.steady_mean());
-  }
-  return out;
+exp::Cell variant(bool immediate, bool post_backoff, int reps, int train) {
+  exp::Cell cell;
+  cell.repetitions = reps;
+  cell.scenario.phy.immediate_access = immediate;
+  cell.scenario.phy.post_backoff = post_backoff;
+  cell.scenario.contenders.push_back(
+      core::StationSpec::poisson(BitRate::mbps(4.0), 1500));
+  cell.train.n = train;
+  cell.train.size_bytes = 1500;
+  cell.train.gap = BitRate::mbps(5.0).gap_for(1500);
+  return cell;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "show", "csv", "threads", "progress"});
   const int reps = args.get("reps", util::scaled_reps(800));
   const int train = args.get("train", 300);
   const int show = args.get("show", 60);
@@ -60,22 +41,39 @@ int main(int argc, char** argv) {
                   "1.0 = steady state; " +
                       std::to_string(reps) + " repetitions per variant");
 
-  const auto std_cfg = mean_curve(true, true, reps, train, show, 201);
-  const auto no_ia = mean_curve(false, true, reps, train, show, 202);
-  const auto no_pb = mean_curve(true, false, reps, train, show, 203);
+  // Cells 0..2 (standard, no immediate access, no post-backoff) run with
+  // scenario seeds 201..203.
+  const exp::Campaign campaign({variant(true, true, reps, train),
+                                variant(false, true, reps, train),
+                                variant(true, false, reps, train)},
+                               201);
+  exp::TrainCampaignConfig tcfg;
+  tcfg.ks_prefix = 1;
+  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "ablate",
+                         bench::progress_enabled(args));
+  const exp::Runner runner = bench::runner_from(args, &progress);
+  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
+  progress.finish();
 
   util::Table table({"packet", "standard", "no_immediate_access",
                      "no_post_backoff"});
   std::vector<std::vector<double>> rows;
   for (int i = 0; i < show; ++i) {
-    rows.push_back({static_cast<double>(i + 1),
-                    std_cfg[static_cast<std::size_t>(i)],
-                    no_ia[static_cast<std::size_t>(i)],
-                    no_pb[static_cast<std::size_t>(i)]});
+    rows.push_back({static_cast<double>(i + 1)});
+    for (const exp::TrainCellStats& cell : cells) {
+      rows.back().push_back(cell.analyzer.mean_at(i) /
+                            cell.analyzer.steady_mean());
+    }
     table.add_row(rows.back());
   }
   bench::emit(table, args, rows);
   std::cout << "# expect: the 'standard' column starts lowest (strongest "
                "first-packet acceleration)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ablate_immediate_access", run, argc, argv);
 }

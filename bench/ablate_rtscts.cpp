@@ -38,10 +38,9 @@ SatResult saturate(int stations, bool rts, double seconds,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"duration", "csv", "threads", "progress"});
   const double seconds = args.get("duration", 6.0) * util::bench_scale() + 1.0;
 
   bench::announce("Ablation: RTS/CTS",
@@ -64,4 +63,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: RTS/CTS costs throughput at small n (overhead) "
                "but wastes far less channel time per collision\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ablate_rtscts", run, argc, argv);
 }

@@ -26,10 +26,9 @@ double saturated_aggregate_mbps(int stations, int size_bytes, double seconds,
       .aggregate.to_mbps();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"duration", "csv", "threads", "progress"});
   const double seconds = args.get("duration", 8.0) * util::bench_scale() + 1.0;
 
   bench::announce("Calibration (Appendix A)",
@@ -59,4 +58,10 @@ int main(int argc, char** argv) {
             << "% (the Bianchi model itself is a slot-process "
                "approximation; <10% is the usual agreement)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("calibration_bianchi", run, argc, argv);
 }

@@ -90,7 +90,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 
 #include "bench_common.hpp"
@@ -438,13 +437,13 @@ int run(int argc, char** argv) {
     return 0;
   }
 
+  // Transient length at tolerance 0.1, the column the digest below and
+  // CI's live-vs-replay comparison read.
+  constexpr double kTol = 0.1;
   std::vector<std::string> columns = exp::Collector::cell_columns();
-  for (const char* metric :
-       {"reps_used", "dropped", "mean_gap_ms", "measured_rate_mbps",
-        "first_delay_ms", "steady_delay_ms", "ks_first", "ks_thresh_95",
-        "transient_pkts_tol0.1"}) {
-    columns.emplace_back(metric);
-  }
+  const std::vector<std::string> metric_columns =
+      exp::Collector::train_columns(kTol);
+  columns.insert(columns.end(), metric_columns.begin(), metric_columns.end());
   exp::CollectorOptions copts;
   copts.csv_path = args.get("csv", "");
   copts.jsonl_path = args.get("jsonl", "");
@@ -454,28 +453,11 @@ int run(int argc, char** argv) {
   exp::Collector collector(columns, copts);
 
   for (const exp::Cell& cell : campaign.cells()) {
-    const exp::TrainCellStats& r =
-        results[static_cast<std::size_t>(cell.index)];
     std::vector<exp::Value> row = exp::Collector::cell_coords(cell);
-    row.emplace_back(r.used);
-    row.emplace_back(r.dropped);
-    if (r.used > 0) {
-      row.emplace_back(r.output_gap_s.mean() * 1e3);
-      row.emplace_back(r.measured_rate_mbps(cell.train.size_bytes));
-      row.emplace_back(r.analyzer.mean_at(0) * 1e3);
-      row.emplace_back(r.analyzer.steady_mean() * 1e3);
-      row.emplace_back(r.analyzer.ks_at(0));
-      row.emplace_back(r.analyzer.ks_threshold_at(0));
-      row.emplace_back(r.analyzer.transient_length(0.1));
-    } else {
-      // Every repetition dropped a packet: the cell has no complete
-      // trains.  Report it (NaN metrics -> null in JSONL) instead of
-      // aborting the whole campaign's output.
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      for (int k = 0; k < 7; ++k) {
-        row.emplace_back(nan);
-      }
-    }
+    const std::vector<exp::Value> metrics = exp::Collector::train_metrics(
+        results[static_cast<std::size_t>(cell.index)], cell.train.size_bytes,
+        kTol);
+    row.insert(row.end(), metrics.begin(), metrics.end());
     collector.add(row);
   }
 

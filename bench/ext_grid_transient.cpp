@@ -27,8 +27,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "probe-mbps", "grid-rate", "pair-rate",
+                      "seed", "csv", "threads", "progress"});
   const int reps = args.get("reps", util::scaled_reps(120));
   const int train = args.get("train", 120);
   const double probe_mbps = args.get("probe-mbps", 5.0);
@@ -123,4 +127,10 @@ int main(int argc, char** argv) {
                "the hidden-terminal cells — carrier sense no longer "
                "serializes the cell, overlap becomes retransmission\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ext_grid_transient", run, argc, argv);
 }

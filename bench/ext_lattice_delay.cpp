@@ -27,8 +27,13 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "probe-mbps", "rate", "side", "seed",
+                      "csv", "threads", "progress", "metrics-out", "prof",
+                      "obs"});
   const int reps = args.get("reps", util::scaled_reps(2));
   const int train = args.get("train", 40);
   const double probe_mbps = args.get("probe-mbps", 1.0);
@@ -148,4 +153,10 @@ int main(int argc, char** argv) {
                "and the relaxation to the steady delay pool slows (torpid "
                "mixing)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ext_lattice_delay", run, argc, argv);
 }

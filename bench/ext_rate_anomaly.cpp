@@ -19,8 +19,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"duration", "fast", "seed", "csv", "threads",
+                      "progress"});
   const double seconds = args.get("duration", 8.0) * util::bench_scale() + 1.0;
   const std::vector<int> fast_counts = args.get_ints("fast", {1, 2, 3, 5});
 
@@ -88,4 +92,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: fast_with_laggard ~= laggard (equal shares), far "
                "below fast_alone — the anomaly\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ext_rate_anomaly", run, argc, argv);
 }

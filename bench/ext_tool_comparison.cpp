@@ -28,8 +28,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"format", "trains", "pairs", "seed", "cross-mbps", "reps",
+                      "csv", "jsonl", "threads", "progress"});
 
   const std::string format = args.get("format", "table");
   CSMABW_REQUIRE(format == "table" || format == "json",
@@ -134,4 +138,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: every tool column tracks B (and overshoots it), "
                "none tracks A\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("ext_tool_comparison", run, argc, argv);
 }

@@ -11,8 +11,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"cross-mbps", "duration", "max-mbps", "step-mbps", "seed",
+                      "csv", "threads", "progress"});
   const double cross_mbps = args.get("cross-mbps", 4.5);
   const double duration_s = args.get("duration", 10.0) * util::bench_scale();
   const double max_rate = args.get("max-mbps", 10.0);
@@ -50,4 +54,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args, rows);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig01_steady_state_rate_response", run, argc, argv);
 }

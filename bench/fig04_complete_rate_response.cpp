@@ -10,8 +10,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"contender-mbps", "fifo-mbps", "duration", "max-mbps",
+                      "step-mbps", "seed", "csv", "threads", "progress"});
   const double contender_mbps = args.get("contender-mbps", 2.5);
   const double fifo_mbps = args.get("fifo-mbps", 1.5);
   const double duration_s = args.get("duration", 10.0) * util::bench_scale();
@@ -42,4 +46,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args, rows);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig04_complete_rate_response", run, argc, argv);
 }

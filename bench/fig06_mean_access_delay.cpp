@@ -14,8 +14,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "show", "seed", "cross-mbps",
+                      "probe-mbps", "csv", "threads", "progress"});
   const int reps = args.get("reps", util::scaled_reps(2000));
   const int train = args.get("train", 1000);
   const int show = args.get("show", 150);
@@ -58,4 +62,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args, rows);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig06_mean_access_delay", run, argc, argv);
 }

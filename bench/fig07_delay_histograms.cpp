@@ -15,8 +15,13 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "late-index", "bins", "seed",
+                      "cross-mbps", "probe-mbps", "csv", "threads",
+                      "progress"});
   const int reps = args.get("reps", util::scaled_reps(2000));
   const int train = args.get("train", 600);
   const int late_index = args.get("late-index", 500);
@@ -70,4 +75,10 @@ int main(int argc, char** argv) {
             << " ms vs packet " << late_index << " at "
             << util::Table::format(late_hist.mode() * 1e3, 3) << " ms\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig07_delay_histograms", run, argc, argv);
 }

@@ -13,8 +13,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "show", "seed", "cross-mbps",
+                      "probe-mbps", "csv", "threads", "progress"});
   const int reps = args.get("reps", util::scaled_reps(1200));
   const int train = args.get("train", 600);
   const int show = args.get("show", 100);
@@ -67,4 +71,10 @@ int main(int argc, char** argv) {
   std::cout << "# KS statistic first under the 95% threshold at packet "
             << settle << " (paper: ~10 for this scenario)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig08_ks_transient_queue", run, argc, argv);
 }

@@ -3,22 +3,29 @@
 // 1500 B) and rates (0.1, 0.5, 0.75, 2 Mb/s); probe at 0.5 Mb/s.  Even
 // at low probing rates the access-delay distribution needs tens of
 // packets to reach the steady state.
+//
+// Runs as a single-cell campaign on the exp:: engine (--threads N).
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/scenario.hpp"
-#include "core/transient.hpp"
+#include "exp/engine.hpp"
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "show", "seed", "short-preamble",
+                      "warmup-ms", "load-scale", "probe-mbps", "csv",
+                      "threads", "progress"});
   const int reps = args.get("reps", util::scaled_reps(800));
   const int train = args.get("train", 200);
   const int show = args.get("show", 50);
 
-  core::ScenarioConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(args.get("seed", 9));
+  exp::Cell cell;
+  cell.repetitions = reps;
+  core::ScenarioConfig& cfg = cell.scenario;
   // NS2's 802.11b defaults (long preamble, 1 Mb/s basic rate): with them
   // the paper's four flows offer ~0.91 Erlangs, so adding the probe
   // pushes the system near criticality — that is what makes this
@@ -37,12 +44,12 @@ int main(int argc, char** argv) {
   cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(0.5 * load), 576));
   cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(0.75 * load), 1000));
   cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(2.0 * load), 1500));
-  core::Scenario sc(cfg);
-
-  traffic::TrainSpec spec;
-  spec.n = train;
-  spec.size_bytes = 1500;
-  spec.gap = BitRate::mbps(args.get("probe-mbps", 0.5)).gap_for(1500);
+  cell.train.n = train;
+  cell.train.size_bytes = 1500;
+  cell.train.gap = BitRate::mbps(args.get("probe-mbps", 0.5)).gap_for(1500);
+  // The one cell's scenario seed is the campaign seed.
+  const exp::Campaign campaign(
+      {std::move(cell)}, static_cast<std::uint64_t>(args.get("seed", 9)));
 
   bench::announce(
       "Figure 9", "KS transient detection, complex multi-station case",
@@ -50,19 +57,14 @@ int main(int argc, char** argv) {
       "0.5 Mb/s; " +
           std::to_string(reps) + " repetitions");
 
-  core::TransientConfig tc;
-  tc.train_length = train;
-  tc.ks_prefix = show;
-  tc.steady_tail = train / 2;
-  core::TransientAnalyzer ta(tc);
-  for (int rep = 0; rep < reps; ++rep) {
-    const core::TrainRun run =
-        sc.run_train(spec, static_cast<std::uint64_t>(rep));
-    if (run.any_dropped) {
-      continue;
-    }
-    ta.add_repetition(run.access_delays_s());
-  }
+  exp::TrainCampaignConfig tcfg;
+  tcfg.ks_prefix = show;
+  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "fig09",
+                         bench::progress_enabled(args));
+  const exp::Runner runner = bench::runner_from(args, &progress);
+  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
+  progress.finish();
+  const core::TransientAnalyzer& ta = cells.front().analyzer;
 
   util::Table table({"packet", "ks_value", "ks_threshold_95"});
   std::vector<std::vector<double>> rows;
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
   std::cout << "# transient length (0.1 tolerance): "
             << ta.transient_length(0.1) << " packets\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig09_ks_complex", run, argc, argv);
 }

@@ -13,8 +13,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "probe-erlang", "seed", "csv", "threads",
+                      "progress"});
   const int reps = args.get("reps", util::scaled_reps(500));
   const int train = args.get("train", 400);
   const double probe_load = args.get("probe-erlang", 1.0);
@@ -63,4 +67,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args, rows);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig10_transient_duration", run, argc, argv);
 }

@@ -10,8 +10,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"trains", "cross-mbps", "max-mbps", "seed", "csv",
+                      "threads", "progress"});
   const int trains = args.get("trains", util::scaled_reps(200));
   const double cross_mbps = args.get("cross-mbps", 4.0);
 
@@ -51,4 +55,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: train3 > train10 > train50 ~= steady at rates "
                "above the fair share\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig13_short_trains_nofifo", run, argc, argv);
 }

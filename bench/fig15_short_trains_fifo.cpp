@@ -10,8 +10,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"trains", "cross-mbps", "fifo-mbps", "max-mbps", "seed",
+                      "csv", "threads", "progress"});
   const int trains = args.get("trains", util::scaled_reps(200));
   const double cross_mbps = args.get("cross-mbps", 3.0);
   const double fifo_mbps = args.get("fifo-mbps", 1.0);
@@ -51,4 +55,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args, rows);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig15_short_trains_fifo", run, argc, argv);
 }

@@ -10,13 +10,16 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/packet_pair.hpp"
+#include "core/method.hpp"
 #include "exp/engine.hpp"
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"pairs", "seed", "csv", "threads", "progress"});
   const int pairs = args.get("pairs", util::scaled_reps(200));
   const mac::PhyParams phy = mac::PhyParams::dot11b_short();
 
@@ -61,8 +64,9 @@ int main(int argc, char** argv) {
                                              TimeNs::sec(9), TimeNs::sec(1));
         // Packet-pair inference.
         core::SimTransport transport(cell.scenario);
-        const auto pp =
-            core::packet_pair_estimate(transport, 1500, cell.repetitions);
+        core::PacketPairMethod pairs_method(
+            {.size_bytes = 1500, .pairs = cell.repetitions});
+        const core::MeasurementReport pp = pairs_method.run(transport, 0);
         return PointResult{cell.cross_mbps, sat.probe.to_mbps(),
                            pp.estimate_bps / 1e6};
       });
@@ -81,4 +85,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: pair estimate > actual achievable for cross > 0, "
                "both well below capacity\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig16_packet_pair_bias", run, argc, argv);
 }

@@ -11,8 +11,12 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"trains", "train", "cross-mbps", "max-mbps", "seed",
+                      "csv", "threads", "progress"});
   const int trains = args.get("trains", util::scaled_reps(200));
   const int n = args.get("train", 20);
   const double cross_mbps = args.get("cross-mbps", 4.0);
@@ -57,4 +61,10 @@ int main(int argc, char** argv) {
   std::cout << "# expect: mser2 column closer to steady_state than the raw "
                "train20 column above the fair share\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_tool("fig17_mser_correction", run, argc, argv);
 }

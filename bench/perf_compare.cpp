@@ -1,7 +1,8 @@
 // Compares two google-benchmark JSON outputs and fails (exit 1) when a
 // gated benchmark family regresses beyond a noise threshold — the CI
 // perf gate guarding the simulator core's throughput baseline
-// (BENCH_microbench.json at the repo root).
+// (BENCH_microbench.json at the repo root).  Bad input (a missing file,
+// an unknown flag) prints one `perf_compare: error:` line and exits 2.
 //
 //   perf_compare --baseline=BENCH_microbench.json --current=current.json
 //       [--threshold=0.35] [--families=BM_EventQueueScheduleRun,...]
@@ -20,9 +21,11 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -46,8 +49,7 @@ const char* kDefaultFamilies =
 std::map<std::string, double> read_items_per_second(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    std::cerr << "perf_compare: cannot open " << path << "\n";
-    std::exit(2);
+    throw std::runtime_error("cannot open " + path);
   }
   std::map<std::string, double> out;
   std::string line;
@@ -83,10 +85,9 @@ bool in_families(const std::string& name,
   return false;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const csmabw::util::Args args(argc, argv);
+  args.require_known({"baseline", "current", "threshold", "families"});
   const std::string baseline_path = args.get("baseline", "BENCH_microbench.json");
   const std::string current_path = args.get("current", "current.json");
   const double threshold = args.get("threshold", 0.35);
@@ -135,9 +136,8 @@ int main(int argc, char** argv) {
   }
 
   if (compared == 0) {
-    std::cerr << "perf_compare: no gated benchmarks found in " << baseline_path
-              << " — wrong file or families filter?\n";
-    return 2;
+    throw std::runtime_error("no gated benchmarks found in " + baseline_path +
+                             " — wrong file or families filter?");
   }
   if (failures > 0) {
     std::cerr << "perf_compare: " << failures
@@ -148,4 +148,10 @@ int main(int argc, char** argv) {
   std::cout << "perf_compare: " << compared << " benchmark(s) within "
             << threshold * 100 << "% of baseline\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return csmabw::bench::run_tool("perf_compare", run, argc, argv);
 }

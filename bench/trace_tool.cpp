@@ -12,7 +12,7 @@
 //                parallel page scan); `--agg=delay` recomputes the
 //                per-cell campaign statistics (fig06 mean access delay,
 //                fig08 KS, fig10 transient length), bit-identical to the
-//                live campaign's with the default shard=64:
+//                live campaign's metric columns:
 //                  trace_tool query --dir=DIR [--agg=counts[:opts]]
 //                    [--where=kinds=success;station=0..3;time_ms=..250]
 //                    [--threads=N] [--csv=PATH] [--no-pushdown]

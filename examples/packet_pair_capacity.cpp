@@ -10,7 +10,7 @@
 // achievable throughput and overestimates it (paper Section 7.3).
 #include <iostream>
 
-#include "core/packet_pair.hpp"
+#include "core/method.hpp"
 #include "core/scenario.hpp"
 #include "net/udp_probe.hpp"
 #include "util/cli.hpp"
@@ -22,15 +22,18 @@ int main(int argc, char** argv) {
   const int pairs = args.get("pairs", 200);
 
   util::Table table({"link", "pair_estimate_mbps", "note"});
+  const auto pair_estimate_mbps = [](core::ProbeTransport& link, int n) {
+    core::PacketPairMethod method({.size_bytes = 1500, .pairs = n});
+    return method.run(link, /*seed=*/0).estimate_bps / 1e6;
+  };
 
   // 1. Uncontended WLAN: the pair dispersion equals one service cycle.
   {
     core::ScenarioConfig cell;
     cell.seed = 1;
     core::SimTransport link(cell);
-    const auto r = core::packet_pair_estimate(link, 1500, pairs);
     table.add_row({std::string("wlan idle"),
-                   util::Table::format(r.estimate_bps / 1e6, 3),
+                   util::Table::format(pair_estimate_mbps(link, pairs), 3),
                    "~= capacity " +
                        util::Table::format(
                            cell.phy.saturation_rate(1500).to_mbps(), 3) +
@@ -44,18 +47,17 @@ int main(int argc, char** argv) {
     cell.seed = 2;
     cell.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(4.0), 1500));
     core::SimTransport link(cell);
-    const auto r = core::packet_pair_estimate(link, 1500, pairs);
     table.add_row({std::string("wlan + 4 Mb/s contender"),
-                   util::Table::format(r.estimate_bps / 1e6, 3),
+                   util::Table::format(pair_estimate_mbps(link, pairs), 3),
                    "reads the achievable throughput, not capacity"});
   }
 
   // 3. Real sockets over loopback (the testbed-substitute code path).
   try {
     net::UdpLoopbackTransport link(/*session=*/7);
-    const auto r = core::packet_pair_estimate(link, 1500, std::min(pairs, 50));
     table.add_row({std::string("udp loopback"),
-                   util::Table::format(r.estimate_bps / 1e6, 1),
+                   util::Table::format(
+                       pair_estimate_mbps(link, std::min(pairs, 50)), 1),
                    "kernel loopback path (no MAC contention)"});
   } catch (const std::exception& e) {
     table.add_row({std::string("udp loopback"), std::string("n/a"),

@@ -52,28 +52,36 @@ int main(int argc, char** argv) {
             << live_cell.analyzer.steady_mean() * 1e3 << " ms\n";
 
   // --- offline: recompute the same statistics from the files alone ------
-  trace::TrainReplayStats replay(
-      exp::train_transient_config(train, tcfg));
+  // Each replayed train folds into the cell exactly as a live repetition
+  // does, in the engine's shards, merged in order.
+  exp::TrainCellStats replay(train, tcfg);
+  exp::TrainCellStats shard(train, tcfg);
+  const std::vector<trace::TraceFile> files = trace::list_traces(dir);
   std::array<std::uint64_t, trace::kEventKindCount> counts{};
-  for (const trace::TraceFile& file : trace::list_traces(dir)) {
+  for (std::size_t r = 0; r < files.size(); ++r) {
     trace::PacketReconstructor rec;
-    trace::MappedTrace(file.path).scan(
+    trace::MappedTrace(files[r].path).scan(
         [&](const trace::TraceEvent& e) { rec.on_event(e); });
     for (int k = 0; k < trace::kEventKindCount; ++k) {
       counts[static_cast<std::size_t>(k)] +=
           rec.counts()[static_cast<std::size_t>(k)];
     }
-    replay.add(trace::replay_train(rec.packets(), core::kProbeFlow));
+    shard.add(exp::train_rep_record(
+        trace::replay_train(rec.packets(), core::kProbeFlow)));
+    if ((r + 1) % static_cast<std::size_t>(tcfg.shard_size) == 0 ||
+        r + 1 == files.size()) {
+      replay.merge(shard);
+      shard = exp::TrainCellStats(train, tcfg);
+    }
   }
-  replay.finish();
 
   std::cout << "replay mean access delay: packet 1 = "
-            << replay.analyzer().mean_at(0) * 1e3 << " ms, steady = "
-            << replay.analyzer().steady_mean() * 1e3 << " ms\n";
+            << replay.analyzer.mean_at(0) * 1e3 << " ms, steady = "
+            << replay.analyzer.steady_mean() * 1e3 << " ms\n";
   const bool identical =
-      replay.analyzer().mean_at(0) == live_cell.analyzer.mean_at(0) &&
-      replay.analyzer().steady_mean() == live_cell.analyzer.steady_mean() &&
-      replay.output_gap_s().mean() == live_cell.output_gap_s.mean();
+      replay.analyzer.mean_at(0) == live_cell.analyzer.mean_at(0) &&
+      replay.analyzer.steady_mean() == live_cell.analyzer.steady_mean() &&
+      replay.output_gap_s.mean() == live_cell.output_gap_s.mean();
   std::cout << "bit-identical to the live run: "
             << (identical ? "yes" : "NO") << "\n";
 

@@ -101,8 +101,10 @@ class BisectionMethod : public MeasurementMethod {
 };
 
 /// SLoPS one-way-delay-trend bisection — pathload's machinery (registry
-/// key "slops").  Canonical home of the algorithm behind the
-/// slops_estimate() facade.
+/// key "slops"): bisects on "does the OWD trend increase at this rate".
+/// On a FIFO path this estimates the available bandwidth; on a CSMA/CA
+/// link it converges to the achievable throughput (Section 7.2).
+/// Metrics: low_bps, high_bps (final bracket), ambiguous_trains.
 class SlopsMethod : public MeasurementMethod {
  public:
   explicit SlopsMethod(SlopsOptions options);
@@ -122,9 +124,11 @@ struct PacketPairMethodOptions {
   void validate() const;
 };
 
-/// Back-to-back packet pairs (Section 7.3; registry key "packet_pair").
-/// Canonical home of the algorithm behind the packet_pair_estimate()
-/// facade.
+/// Back-to-back packet pairs (Section 7.3; registry key "packet_pair"):
+/// estimates L / E[pair dispersion], the classic capacity reading.  On a
+/// CSMA/CA link it targets the achievable throughput and, because every
+/// pair rides the transient, overestimates even that (Fig 16).
+/// Metrics: mean_gap_s, pairs_used.
 class PacketPairMethod : public MeasurementMethod {
  public:
   explicit PacketPairMethod(PacketPairMethodOptions options);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/method.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::core {
@@ -61,22 +60,6 @@ void SlopsOptions::validate() const {
   CSMABW_REQUIRE(min_rate_bps > 0.0 && max_rate_bps > min_rate_bps,
                  "invalid rate range");
   CSMABW_REQUIRE(max_iterations >= 1, "need >= 1 bisection iteration");
-}
-
-SlopsResult slops_estimate(ProbeTransport& transport,
-                           const SlopsOptions& options) {
-  SlopsMethod method(options);
-  const MeasurementReport report = method.run(transport, /*seed=*/0);
-  SlopsResult result;
-  result.low_bps = report.metric("low_bps");
-  result.high_bps = report.metric("high_bps");
-  result.estimate_bps = report.estimate_bps;
-  // SlopsResult historically counted only complete trains; the report's
-  // uniform cost counters include lost attempts.
-  result.trains_sent = report.trains_sent - report.trains_lost;
-  result.ambiguous_trains =
-      static_cast<int>(report.metric("ambiguous_trains"));
-  return result;
 }
 
 }  // namespace csmabw::core

@@ -57,25 +57,4 @@ struct SlopsOptions {
   void validate() const;
 };
 
-/// Result of a SLoPS run.
-struct SlopsResult {
-  /// Final bracket [lo, hi] and its midpoint estimate.
-  double low_bps = 0.0;
-  double high_bps = 0.0;
-  double estimate_bps = 0.0;
-  int trains_sent = 0;
-  int ambiguous_trains = 0;
-};
-
-/// Iterative one-way-delay-trend estimation over any transport: bisects
-/// on "does the OWD trend increase at this rate".  On a FIFO path this
-/// estimates the available bandwidth; on a CSMA/CA link it converges to
-/// the achievable throughput (the paper's Section 7.2 consequence).
-///
-/// Back-compat facade: the algorithm lives in core::SlopsMethod
-/// (core/method.hpp); this wrapper runs the method and repackages its
-/// MeasurementReport as a SlopsResult.
-[[nodiscard]] SlopsResult slops_estimate(ProbeTransport& transport,
-                                         const SlopsOptions& options);
-
 }  // namespace csmabw::core

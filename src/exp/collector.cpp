@@ -1,7 +1,9 @@
 #include "exp/collector.hpp"
 
 #include <cmath>
+#include <limits>
 
+#include "exp/engine.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::exp {
@@ -73,6 +75,32 @@ std::vector<Value> Collector::cell_coords(const Cell& cell) {
           Value(cell.train_length),
           Value(cell.probe_mbps),
           Value(cell.fifo ? 1 : 0)};
+}
+
+std::vector<std::string> Collector::train_columns(double tol) {
+  return {"reps_used",       "dropped",
+          "mean_gap_ms",     "measured_rate_mbps",
+          "first_delay_ms",  "steady_delay_ms",
+          "ks_first",        "ks_thresh_95",
+          "transient_pkts_tol" + util::json_number(tol)};
+}
+
+std::vector<Value> Collector::train_metrics(const TrainCellStats& stats,
+                                            int size_bytes, double tol) {
+  std::vector<Value> row{stats.used, stats.dropped};
+  if (stats.used == 0) {
+    // Every repetition dropped a packet: no complete train to measure.
+    row.resize(train_columns(tol).size(),
+               std::numeric_limits<double>::quiet_NaN());
+    return row;
+  }
+  const core::TransientAnalyzer& a = stats.analyzer;
+  row.insert(row.end(), {stats.output_gap_s.mean() * 1e3,
+                         stats.measured_rate_mbps(size_bytes),
+                         a.mean_at(0) * 1e3, a.steady_mean() * 1e3,
+                         a.ks_at(0), a.ks_threshold_at(0),
+                         a.transient_length(tol)});
+  return row;
 }
 
 std::vector<std::string> Collector::method_columns() {

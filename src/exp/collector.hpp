@@ -14,6 +14,8 @@
 
 namespace csmabw::exp {
 
+struct TrainCellStats;
+
 /// A collector cell value: a number or a label (e.g. a PHY preset name).
 using Value = util::Value;
 
@@ -56,6 +58,14 @@ class Collector {
   /// cross_mbps, phy, train_len, probe_mbps, fifo.
   [[nodiscard]] static std::vector<std::string> cell_columns();
   [[nodiscard]] static std::vector<Value> cell_coords(const Cell& cell);
+
+  /// The metric columns of a train-campaign cell (reps_used ...
+  /// transient_pkts_tol<tol>), printed by campaign_sweep and by
+  /// `trace_tool query --agg=delay`, and one cell's values for them; a
+  /// cell without complete trains gets NaN metrics (null in JSONL).
+  [[nodiscard]] static std::vector<std::string> train_columns(double tol);
+  [[nodiscard]] static std::vector<Value> train_metrics(
+      const TrainCellStats& stats, int size_bytes, double tol);
 
   /// The standard schema for per-repetition MeasurementReport rows:
   /// cell_columns() + method, rep, estimate_mbps, trains_sent,

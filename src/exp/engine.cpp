@@ -5,9 +5,7 @@
 #include <memory>
 #include <optional>
 
-#include "core/scenario.hpp"
 #include "serve/cache_key.hpp"
-#include "serve/record.hpp"
 #include "stats/rng.hpp"
 #include "trace/writer.hpp"
 #include "util/require.hpp"
@@ -21,11 +19,6 @@ struct Shard {
   int rep_begin = 0;
   int rep_end = 0;
 };
-
-core::TransientConfig transient_config_for(const Cell& cell,
-                                           const TrainCampaignConfig& cfg) {
-  return train_transient_config(cell.train.n, cfg);
-}
 
 /// The provenance header a recorded (cell, repetition) trace carries.
 trace::TraceMeta trace_meta_for(const Cell& cell, int repetition) {
@@ -161,6 +154,55 @@ core::TransientConfig train_transient_config(int train_length,
   return tc;
 }
 
+TrainCellStats::TrainCellStats(int train_length,
+                               const TrainCampaignConfig& cfg)
+    : TrainCellStats(train_transient_config(train_length, cfg)) {
+  if (cfg.sample_contender_queue) {
+    queue_at_arrival.resize(
+        static_cast<std::size_t>(std::min(cfg.queue_prefix, train_length)));
+  }
+}
+
+void TrainCellStats::add(const serve::TrainRepRecord& record) {
+  if (record.dropped) {
+    ++dropped;
+    return;
+  }
+  CSMABW_REQUIRE(record.queue_at_arrival.size() >= queue_at_arrival.size(),
+                 "train record has fewer queue samples than the cell "
+                 "keeps");
+  analyzer.add_repetition(record.access_delays_s);
+  output_gap_s.add(record.output_gap_s);
+  for (std::size_t i = 0; i < queue_at_arrival.size(); ++i) {
+    queue_at_arrival[i].add(record.queue_at_arrival[i]);
+  }
+  ++used;
+}
+
+void TrainCellStats::merge(const TrainCellStats& other) {
+  CSMABW_REQUIRE(other.queue_at_arrival.size() == queue_at_arrival.size(),
+                 "merging cells that keep different queue samples");
+  analyzer.merge(other.analyzer);
+  output_gap_s.merge(other.output_gap_s);
+  for (std::size_t i = 0; i < queue_at_arrival.size(); ++i) {
+    queue_at_arrival[i].merge(other.queue_at_arrival[i]);
+  }
+  used += other.used;
+  dropped += other.dropped;
+  obs.merge(other.obs);
+}
+
+serve::TrainRepRecord train_rep_record(const core::TrainRun& run) {
+  serve::TrainRepRecord record;
+  record.dropped = run.any_dropped;
+  if (!run.any_dropped) {
+    record.access_delays_s = run.access_delays_s();
+    record.output_gap_s = run.output_gap_s();
+    record.queue_at_arrival = run.contender_queue_at_arrival;
+  }
+  return record;
+}
+
 std::uint64_t method_rep_seed(std::uint64_t campaign_seed, int cell_index,
                               int repetition) {
   return stats::Rng(Campaign::cell_seed(campaign_seed, cell_index))
@@ -288,12 +330,7 @@ std::vector<TrainCellStats> run_train_campaign(
     const Shard& shard = shards[static_cast<std::size_t>(s)];
     const Cell& cell =
         campaign.cells()[static_cast<std::size_t>(shard.cell_index)];
-    auto stats = std::make_unique<TrainCellStats>(
-        transient_config_for(cell, cfg));
-    if (cfg.sample_contender_queue) {
-      stats->queue_at_arrival.resize(static_cast<std::size_t>(
-          std::min(cfg.queue_prefix, cell.train.n)));
-    }
+    auto stats = std::make_unique<TrainCellStats>(cell.train.n, cfg);
     if (!io.shard.selects(s)) {
       // Another process's slice: contribute an empty accumulator so the
       // shard-ordered merge below stays uniform.
@@ -340,12 +377,7 @@ std::vector<TrainCellStats> run_train_campaign(
         if (writer != nullptr) {
           writer->close();  // surface write errors here, not in ~TraceWriter
         }
-        record.dropped = run.any_dropped;
-        if (!run.any_dropped) {
-          record.access_delays_s = run.access_delays_s();
-          record.output_gap_s = run.output_gap_s();
-          record.queue_at_arrival = run.contender_queue_at_arrival;
-        }
+        record = train_rep_record(run);
         const auto events = static_cast<std::int64_t>(run.sim_events);
         m.sim_events.add(events);
         m.sim_alloc.add(static_cast<std::int64_t>(run.sim_allocations));
@@ -364,20 +396,7 @@ std::vector<TrainCellStats> run_train_campaign(
         serve::encode_train_record(record, payload);
         persist_record(io, m, key, payload);
       }
-      if (record.dropped) {
-        ++stats->dropped;
-        continue;
-      }
-      stats->analyzer.add_repetition(record.access_delays_s);
-      stats->output_gap_s.add(record.output_gap_s);
-      CSMABW_REQUIRE(
-          record.queue_at_arrival.size() >= stats->queue_at_arrival.size(),
-          "served record has fewer queue samples than the campaign "
-          "config expects");
-      for (std::size_t i = 0; i < stats->queue_at_arrival.size(); ++i) {
-        stats->queue_at_arrival[i].add(record.queue_at_arrival[i]);
-      }
-      ++stats->used;
+      stats->add(record);
     }
     shard_stats[static_cast<std::size_t>(s)] = std::move(stats);
   });
@@ -386,26 +405,12 @@ std::vector<TrainCellStats> run_train_campaign(
   std::vector<TrainCellStats> merged;
   merged.reserve(campaign.cells().size());
   for (const Cell& cell : campaign.cells()) {
-    merged.emplace_back(transient_config_for(cell, cfg));
+    merged.emplace_back(cell.train.n, cfg);
     merged.back().obs.cell = cell.index;
-    if (cfg.sample_contender_queue) {
-      merged.back().queue_at_arrival.resize(static_cast<std::size_t>(
-          std::min(cfg.queue_prefix, cell.train.n)));
-    }
   }
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    const Shard& shard = shards[s];
-    TrainCellStats& dst =
-        merged[static_cast<std::size_t>(shard.cell_index)];
-    const TrainCellStats& src = *shard_stats[s];
-    dst.analyzer.merge(src.analyzer);
-    dst.output_gap_s.merge(src.output_gap_s);
-    for (std::size_t i = 0; i < dst.queue_at_arrival.size(); ++i) {
-      dst.queue_at_arrival[i].merge(src.queue_at_arrival[i]);
-    }
-    dst.used += src.used;
-    dst.dropped += src.dropped;
-    dst.obs.merge(src.obs);
+    merged[static_cast<std::size_t>(shards[s].cell_index)].merge(
+        *shard_stats[s]);
   }
   return merged;
 }

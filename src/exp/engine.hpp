@@ -12,6 +12,7 @@
 #include "exp/sweep.hpp"
 #include "obs/report.hpp"
 #include "serve/campaign_io.hpp"
+#include "serve/record.hpp"
 #include "stats/summary.hpp"
 
 namespace csmabw::exp {
@@ -34,12 +35,19 @@ struct TrainCampaignConfig {
   /// campaign's deterministic contract: results are merged in shard
   /// order, so output is bit-identical for any thread count (and any
   /// shard size, up to floating-point association in merged moments).
+  /// Trace replays fold in shards of the default size.
   int shard_size = 64;
 };
 
-/// Merged per-cell result of a train campaign.
+/// Merged per-cell result of a train campaign.  Live, cached and
+/// replayed repetitions all fold in through add() and merge(), so the
+/// same records in the same shard order give the same bits.
 struct TrainCellStats {
   explicit TrainCellStats(const core::TransientConfig& tc) : analyzer(tc) {}
+  /// An empty cell of `train_length`-packet trains, configured as
+  /// run_train_campaign configures one under `cfg`: the analyzer of
+  /// train_transient_config and the sampled queue prefix.
+  TrainCellStats(int train_length, const TrainCampaignConfig& cfg);
 
   core::TransientAnalyzer analyzer;
   /// Per-train output gap (Eq. 16) across complete trains.
@@ -55,6 +63,13 @@ struct TrainCellStats {
   /// enabled metrics registry or profiler.  Never affects results.
   obs::CellObs obs;
 
+  /// Folds one repetition: a dropped train is only counted, a complete
+  /// one feeds the analyzer, the output gap and the queue samples.
+  /// Throws when the record has fewer queue samples than the cell keeps.
+  void add(const serve::TrainRepRecord& record);
+  /// Adds `other`'s statistics (the next shard, in shard order).
+  void merge(const TrainCellStats& other);
+
   /// Measured probe rate implied by the mean output gap.
   [[nodiscard]] double measured_rate_mbps(int size_bytes) const {
     const double gap = output_gap_s.mean();
@@ -62,11 +77,12 @@ struct TrainCellStats {
   }
 };
 
+/// The record a simulated repetition contributes to its cell.
+[[nodiscard]] serve::TrainRepRecord train_rep_record(const core::TrainRun& run);
+
 /// The per-cell transient analysis configuration a train campaign uses
 /// for a cell of `train_length` packets: ks_prefix and steady_tail
 /// clamped to the train, steady_tail defaulting to half the train.
-/// Exposed so offline replays (trace::TrainReplayStats) can reproduce a
-/// live campaign's analyzer configuration exactly.
 [[nodiscard]] core::TransientConfig train_transient_config(
     int train_length, const TrainCampaignConfig& cfg);
 

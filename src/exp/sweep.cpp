@@ -9,16 +9,6 @@
 
 namespace csmabw::exp {
 
-namespace {
-
-const core::ScenarioRegistry& scenario_registry_of(const SweepSpec& spec) {
-  return spec.scenario_registry != nullptr
-             ? *spec.scenario_registry
-             : core::ScenarioRegistry::global();
-}
-
-}  // namespace
-
 void SweepSpec::validate() const {
   CSMABW_REQUIRE(!contender_counts.empty(), "contender_counts axis is empty");
   CSMABW_REQUIRE(!cross_mbps.empty(), "cross_mbps axis is empty");
@@ -44,7 +34,7 @@ void SweepSpec::validate() const {
                    "cross_mbps/phy_presets/fifo_cross axes and the "
                    "cross/fifo size and rate knobs; leave them at their "
                    "defaults");
-    const core::ScenarioRegistry& registry = scenario_registry_of(*this);
+    const core::ScenarioRegistry& registry = core::ScenarioRegistry::global();
     for (const auto& entry : scenarios) {
       // Throws on unknown names and malformed grammar — and validates
       // every traffic spec — before any campaign work starts.
@@ -140,7 +130,7 @@ Campaign::Campaign(SweepSpec spec) : spec_(std::move(spec)) {
     const std::vector<std::string> topology_axis =
         spec_.topologies.empty() ? std::vector<std::string>{std::string()}
                                  : spec_.topologies;
-    const core::ScenarioRegistry& registry = scenario_registry_of(spec_);
+    const core::ScenarioRegistry& registry = core::ScenarioRegistry::global();
     for (const std::string& entry : spec_.scenarios) {
       const core::ScenarioSpec base = registry.resolve(entry);
       const std::optional<BitRate> load = base.offered_load();

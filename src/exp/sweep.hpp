@@ -28,9 +28,6 @@ struct SweepSpec {
   /// REPLACES the contender_counts/cross_mbps/phy_presets/fifo_cross
   /// axes, which must stay at their defaults.
   std::vector<std::string> scenarios{};
-  /// Registry the scenario entries are resolved against (must outlive
-  /// the spec); nullptr means core::ScenarioRegistry::global().
-  const core::ScenarioRegistry* scenario_registry = nullptr;
   /// Conflict-graph topology axis (topo::TopologyRegistry specs such as
   /// `clique`, `grid:3x3`, `pairs-hidden:2`).  Requires a non-empty
   /// scenarios axis — each scenario entry is expanded once per topology
@@ -137,13 +134,11 @@ class Campaign {
   [[nodiscard]] std::uint64_t campaign_seed() const {
     return spec_.campaign_seed;
   }
-  /// Trace output directory ("" = recording disabled).  Copied from the
-  /// grid spec; campaigns built from explicit cells opt in via
-  /// set_trace_dir.
+  /// Trace output directory ("" = recording disabled), copied from the
+  /// grid spec; campaigns built from explicit cells never record.
   [[nodiscard]] const std::string& trace_dir() const {
     return spec_.trace_dir;
   }
-  void set_trace_dir(std::string dir) { spec_.trace_dir = std::move(dir); }
   [[nodiscard]] const std::vector<Cell>& cells() const { return cells_; }
   [[nodiscard]] int size() const { return static_cast<int>(cells_.size()); }
   [[nodiscard]] std::int64_t total_repetitions() const;

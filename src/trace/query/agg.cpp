@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/scenario.hpp"
+#include "exp/collector.hpp"
 #include "exp/engine.hpp"
 #include "stats/histogram.hpp"
 #include "trace/replay.hpp"
@@ -113,14 +114,14 @@ class ReplayPartial final : public AggPartial {
 // ----------------------------------------------------------------- delay
 
 /// Per-cell transient statistics (the paper's fig06/08/10) recomputed
-/// from a recorded campaign: files group by cell in repetition order
-/// and fold through the same shard-merged TrainReplayStats as the live
-/// run, so the rows are bit-identical to the live campaign's.
+/// from a recorded campaign: files group by cell in repetition order and
+/// fold through exp::TrainCellStats in shards of the engine's default
+/// size, merged in shard order like the live run's, so the rows equal
+/// the live campaign's metric columns bit for bit.
 class DelayAgg final : public Aggregation {
  public:
   explicit DelayAgg(const util::Options& opts)
       : flow_(opts.get("flow", core::kProbeFlow)),
-        shard_(opts.get("shard", 64)),
         tol_(opts.get("tol", 0.1)) {
     tcfg_.ks_prefix = opts.get("ks_prefix", 1);
     tcfg_.steady_tail = opts.get("steady_tail", 0);
@@ -144,15 +145,14 @@ class DelayAgg final : public Aggregation {
     const FileContext& ctx = partial.context();
     CSMABW_REQUIRE(ctx.meta.train_n >= 2,
                    "`" + ctx.path + "` is not a probe-train recording");
-    if (!cell_ || cell_->index != ctx.meta.cell) {
+    if (!cell_ || cell_->first_meta.cell != ctx.meta.cell) {
       flush_cell();
-      cell_.emplace(ctx.meta.cell, ctx.path, ctx.meta,
-                    TrainReplayStats(
-                        exp::train_transient_config(ctx.meta.train_n, tcfg_),
-                        shard_));
+      cell_ = CellState{ctx.path, ctx.meta,
+                        exp::TrainCellStats(ctx.meta.train_n, tcfg_),
+                        exp::TrainCellStats(ctx.meta.train_n, tcfg_)};
     }
     CSMABW_REQUIRE(ctx.meta.repetition == cell_->reps,
-                   "cell " + std::to_string(cell_->index) +
+                   "cell " + std::to_string(ctx.meta.cell) +
                        " is missing repetition " +
                        std::to_string(cell_->reps) + " (found `" + ctx.path +
                        "`)");
@@ -164,29 +164,25 @@ class DelayAgg final : public Aggregation {
                        cell_->first_path +
                        "` (stale traces from an earlier run? clear the "
                        "directory and re-record)");
-    cell_->stats.add(
-        replay_train(static_cast<ReplayPartial&>(partial).rec.packets(),
-                     flow_));
-    ++cell_->reps;
+    cell_->shard.add(exp::train_rep_record(replay_train(
+        static_cast<ReplayPartial&>(partial).rec.packets(), flow_)));
+    if (++cell_->reps % tcfg_.shard_size == 0) {
+      close_shard();
+    }
   }
 
   void finish() override { flush_cell(); }
 
   [[nodiscard]] std::vector<std::string> columns() const override {
-    // The metric columns of campaign_sweep's per-cell rows, minus the
-    // sweep coordinates (a trace directory may mix hand-recorded
+    // campaign_sweep's metric columns after the cell index instead of
+    // the sweep coordinates (a trace directory may mix hand-recorded
     // cells): the CI determinism gate diffs them against the live
-    // campaign CSV.  The last header tracks `tol` (0.1 live).
-    return {"cell",
-            "reps_used",
-            "dropped",
-            "mean_gap_ms",
-            "measured_rate_mbps",
-            "first_delay_ms",
-            "steady_delay_ms",
-            "ks_first",
-            "ks_thresh_95",
-            "transient_pkts_tol" + util::json_number(tol_)};
+    // campaign CSV.
+    std::vector<std::string> columns{"cell"};
+    const std::vector<std::string> metrics =
+        exp::Collector::train_columns(tol_);
+    columns.insert(columns.end(), metrics.begin(), metrics.end());
+    return columns;
   }
 
   [[nodiscard]] std::vector<std::vector<util::Value>> rows()
@@ -196,49 +192,34 @@ class DelayAgg final : public Aggregation {
 
  private:
   struct CellState {
-    CellState(int index, std::string first_path, TraceMeta first_meta,
-              TrainReplayStats stats)
-        : index(index),
-          first_path(std::move(first_path)),
-          first_meta(std::move(first_meta)),
-          stats(std::move(stats)) {}
-    int index;
     std::string first_path;
     TraceMeta first_meta;
-    TrainReplayStats stats;
+    exp::TrainCellStats stats;  ///< the closed shards, merged in order
+    exp::TrainCellStats shard;  ///< the shard being filled
     int reps = 0;
   };
+
+  void close_shard() {
+    cell_->stats.merge(cell_->shard);
+    cell_->shard = exp::TrainCellStats(cell_->first_meta.train_n, tcfg_);
+  }
 
   void flush_cell() {
     if (!cell_) {
       return;
     }
-    cell_->stats.finish();
-    std::vector<util::Value> row;
-    row.emplace_back(cell_->index);
-    row.emplace_back(cell_->stats.used());
-    row.emplace_back(cell_->stats.dropped());
-    if (cell_->stats.used() > 0) {
-      const double gap = cell_->stats.output_gap_s().mean();
-      row.emplace_back(gap * 1e3);
-      row.emplace_back(
-          gap > 0.0 ? cell_->first_meta.train_size * 8.0 / gap / 1e6 : 0.0);
-      row.emplace_back(cell_->stats.analyzer().mean_at(0) * 1e3);
-      row.emplace_back(cell_->stats.analyzer().steady_mean() * 1e3);
-      row.emplace_back(cell_->stats.analyzer().ks_at(0));
-      row.emplace_back(cell_->stats.analyzer().ks_threshold_at(0));
-      row.emplace_back(cell_->stats.analyzer().transient_length(tol_));
-    } else {
-      for (int k = 0; k < 7; ++k) {
-        row.emplace_back(kNaN);
-      }
+    if (cell_->reps % tcfg_.shard_size != 0) {
+      close_shard();  // the cell's last, partial shard
     }
+    std::vector<util::Value> row{cell_->first_meta.cell};
+    const std::vector<util::Value> metrics = exp::Collector::train_metrics(
+        cell_->stats, cell_->first_meta.train_size, tol_);
+    row.insert(row.end(), metrics.begin(), metrics.end());
     rows_.push_back(std::move(row));
     cell_.reset();
   }
 
   int flow_;
-  int shard_;
   double tol_;
   exp::TrainCampaignConfig tcfg_;
   std::optional<CellState> cell_;
@@ -686,7 +667,7 @@ std::vector<std::string> aggregation_catalog() {
       "counts      per-station, per-kind event counts (works with "
       "--where)",
       "delay       per-cell transient stats, byte-identical to the "
-      "live campaign (flow, ks_prefix, steady_tail, shard, tol)",
+      "live campaign (flow, ks_prefix, steady_tail, tol)",
       "delay-hist  access-delay histograms (by=position|station, flow, "
       "lo_ms, hi_ms, bins)",
       "airtime     per-station channel-occupation time and share",

@@ -94,7 +94,7 @@ class Aggregation {
 ///               --where)
 ///   delay       per-cell transient statistics, bit-identical to the
 ///               live campaign's (options: flow, ks_prefix, steady_tail,
-///               shard, tol)
+///               tol)
 ///   delay-hist  access-delay histograms grouped by train position or
 ///               station (options: by=position|station, flow, lo_ms,
 ///               hi_ms, bins)

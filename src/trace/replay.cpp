@@ -111,57 +111,6 @@ core::TrainRun replay_train_file(const std::string& path, int flow) {
   return replay_train(rec.packets(), flow);
 }
 
-// ------------------------------------------------------ TrainReplayStats
-
-TrainReplayStats::TrainReplayStats(const core::TransientConfig& cfg,
-                                   int shard_size)
-    : cfg_(cfg), shard_size_(shard_size) {
-  CSMABW_REQUIRE(shard_size_ >= 1, "shard_size must be >= 1");
-}
-
-void TrainReplayStats::add(const core::TrainRun& run) {
-  CSMABW_REQUIRE(merged_ == nullptr, "add() after finish()");
-  if (current_ == nullptr) {
-    current_ = std::make_unique<Shard>(cfg_);
-  }
-  if (run.any_dropped) {
-    ++dropped_;
-  } else {
-    current_->analyzer.add_repetition(run.access_delays_s());
-    current_->output_gap_s.add(run.output_gap_s());
-    ++used_;
-  }
-  if (++reps_in_shard_ == shard_size_) {
-    shards_.push_back(std::move(current_));
-    reps_in_shard_ = 0;
-  }
-}
-
-void TrainReplayStats::finish() {
-  if (merged_ != nullptr) {
-    return;
-  }
-  if (current_ != nullptr) {
-    shards_.push_back(std::move(current_));
-  }
-  merged_ = std::make_unique<Shard>(cfg_);
-  for (const auto& shard : shards_) {
-    merged_->analyzer.merge(shard->analyzer);
-    merged_->output_gap_s.merge(shard->output_gap_s);
-  }
-  shards_.clear();
-}
-
-const core::TransientAnalyzer& TrainReplayStats::analyzer() const {
-  CSMABW_REQUIRE(merged_ != nullptr, "call finish() first");
-  return merged_->analyzer;
-}
-
-const stats::RunningStat& TrainReplayStats::output_gap_s() const {
-  CSMABW_REQUIRE(merged_ != nullptr, "call finish() first");
-  return merged_->output_gap_s;
-}
-
 // ----------------------------------------------------------- list_traces
 
 std::vector<TraceFile> list_traces(const std::string& dir) {

@@ -4,13 +4,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "core/transient.hpp"
-#include "stats/summary.hpp"
 #include "trace/event.hpp"
 #include "trace/writer.hpp"  // TraceMeta
 
@@ -63,49 +60,6 @@ class PacketReconstructor {
 /// Convenience: map + reconstruct + extract in one call.
 [[nodiscard]] core::TrainRun replay_train_file(const std::string& path,
                                                int flow = core::kProbeFlow);
-
-/// Offline recomputation of a train campaign cell's statistics — the
-/// paper's fig06 (per-index mean access delay), fig08 (KS transient
-/// detection) and fig10 (transient duration) — from recorded traces.
-///
-/// Repetitions must be added in repetition order; internally they
-/// accumulate in shards of `shard_size` that merge in order, replicating
-/// exp::run_train_campaign's decomposition exactly, so the replayed
-/// statistics are bit-identical to the live campaign's for the matching
-/// shard size (64 is the engine default).
-class TrainReplayStats {
- public:
-  explicit TrainReplayStats(const core::TransientConfig& cfg,
-                            int shard_size = 64);
-
-  /// Adds the next repetition; dropped trains are counted and skipped
-  /// (as live).
-  void add(const core::TrainRun& run);
-
-  /// Merges the shards; no add() afterwards.  Idempotent.
-  void finish();
-
-  [[nodiscard]] const core::TransientAnalyzer& analyzer() const;
-  [[nodiscard]] const stats::RunningStat& output_gap_s() const;
-  [[nodiscard]] int used() const { return used_; }
-  [[nodiscard]] int dropped() const { return dropped_; }
-
- private:
-  struct Shard {
-    explicit Shard(const core::TransientConfig& cfg) : analyzer(cfg) {}
-    core::TransientAnalyzer analyzer;
-    stats::RunningStat output_gap_s;
-  };
-
-  core::TransientConfig cfg_;
-  int shard_size_;
-  int reps_in_shard_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<Shard> current_;
-  std::unique_ptr<Shard> merged_;
-  int used_ = 0;
-  int dropped_ = 0;
-};
 
 /// A discovered trace file with its header metadata.
 struct TraceFile {

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
+#include "util/options.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::util {
@@ -42,24 +45,6 @@ std::string Args::get(std::string_view name, std::string_view def) const {
   return it == options_.end() ? std::string(def) : it->second;
 }
 
-double Args::get(std::string_view name, double def) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) {
-    return def;
-  }
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw PreconditionError("option --" + std::string(name) +
-                            " expects a number, got '" + it->second + "'");
-  }
-}
-
-int Args::get(std::string_view name, int def) const {
-  const double v = get(name, static_cast<double>(def));
-  return static_cast<int>(std::llround(v));
-}
-
 bool Args::get(std::string_view name, bool def) const {
   const auto it = options_.find(name);
   if (it == options_.end()) {
@@ -91,6 +76,18 @@ void Args::require_known(
 
 namespace {
 
+/// `value` of option --`name` as a T (see parse_number).
+template <typename T>
+T parse_flag(std::string_view name, const std::string& value) {
+  if (const std::optional<T> v = parse_number<T>(value)) {
+    return *v;
+  }
+  throw PreconditionError("option --" + std::string(name) + " expects " +
+                          (std::is_integral_v<T> ? "an integer"
+                                                 : "a finite number") +
+                          ", got '" + value + "'");
+}
+
 std::vector<std::string> split_list(std::string_view name,
                                     const std::string& value) {
   std::vector<std::string> out;
@@ -111,38 +108,37 @@ std::vector<std::string> split_list(std::string_view name,
   return out;
 }
 
-}  // namespace
-
-std::vector<double> Args::get_doubles(std::string_view name,
-                                      std::vector<double> def) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) {
-    return def;
-  }
-  std::vector<double> out;
-  for (const std::string& item : split_list(name, it->second)) {
-    try {
-      out.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw PreconditionError("option --" + std::string(name) +
-                              " expects numbers, got '" + item + "'");
-    }
+template <typename T>
+std::vector<T> parse_list(std::string_view name, const std::string& value) {
+  std::vector<T> out;
+  for (const std::string& item : split_list(name, value)) {
+    out.push_back(parse_flag<T>(name, item));
   }
   return out;
 }
 
+}  // namespace
+
+double Args::get(std::string_view name, double def) const {
+  const auto it = options_.find(name);
+  return it == options_.end() ? def : parse_flag<double>(name, it->second);
+}
+
+int Args::get(std::string_view name, int def) const {
+  const auto it = options_.find(name);
+  return it == options_.end() ? def : parse_flag<int>(name, it->second);
+}
+
+std::vector<double> Args::get_doubles(std::string_view name,
+                                      std::vector<double> def) const {
+  const auto it = options_.find(name);
+  return it == options_.end() ? def : parse_list<double>(name, it->second);
+}
+
 std::vector<int> Args::get_ints(std::string_view name,
                                 std::vector<int> def) const {
-  std::vector<double> fallback;
-  fallback.reserve(def.size());
-  for (int v : def) {
-    fallback.push_back(v);
-  }
-  std::vector<int> out;
-  for (double v : get_doubles(name, fallback)) {
-    out.push_back(static_cast<int>(std::llround(v)));
-  }
-  return out;
+  const auto it = options_.find(name);
+  return it == options_.end() ? def : parse_list<int>(name, it->second);
 }
 
 std::vector<std::string> Args::get_strings(

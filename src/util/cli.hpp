@@ -25,12 +25,15 @@ class Args {
   [[nodiscard]] std::string get(std::string_view name, const char* def) const {
     return get(name, std::string_view(def));
   }
+  /// Numbers parse whole (util::parse_number): a finite number for
+  /// double, an integer for int; "12x", "2.6" as an int or "inf" throw.
   [[nodiscard]] double get(std::string_view name, double def) const;
   [[nodiscard]] int get(std::string_view name, int def) const;
   [[nodiscard]] bool get(std::string_view name, bool def) const;
 
   /// Comma-separated list forms ("--cross-mbps=1,2,4") for sweep axes.
-  /// Returns `def` when the option is absent; rejects empty elements.
+  /// Returns `def` when the option is absent; rejects empty elements and
+  /// parses numbers like the scalar getters.
   [[nodiscard]] std::vector<double> get_doubles(
       std::string_view name, std::vector<double> def) const;
   [[nodiscard]] std::vector<int> get_ints(std::string_view name,

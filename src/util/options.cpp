@@ -85,14 +85,11 @@ int Options::get(std::string_view key, int def) const {
     return def;
   }
   e->consumed = true;
-  int v = 0;
-  const char* first = e->value.data();
-  const char* last = first + e->value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) {
+  const std::optional<int> v = parse_number<int>(e->value);
+  if (!v) {
     bad_option(key, e->value, "an integer");
   }
-  return v;
+  return *v;
 }
 
 double Options::get(std::string_view key, double def) const {
@@ -101,14 +98,11 @@ double Options::get(std::string_view key, double def) const {
     return def;
   }
   e->consumed = true;
-  double v = 0.0;
-  const char* first = e->value.data();
-  const char* last = first + e->value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) {
-    bad_option(key, e->value, "a number");
+  const std::optional<double> v = parse_number<double>(e->value);
+  if (!v) {
+    bad_option(key, e->value, "a finite number");
   }
-  return v;
+  return *v;
 }
 
 bool Options::get(std::string_view key, bool def) const {

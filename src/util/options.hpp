@@ -1,8 +1,12 @@
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace csmabw::util {
@@ -63,6 +67,26 @@ class Options {
 
   std::vector<Entry> entries_;  // declaration order = parse order
 };
+
+/// Parses all of `text` as a T through std::from_chars: an integer for
+/// an integral T, a finite number for a floating-point T.  nullopt on
+/// anything else — "12x", "2.6" or "1e3" for an int, "inf", " 4", "+4".
+/// The one number parser of util::Options and util::Args.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || ptr != last) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) {
+      return std::nullopt;
+    }
+  }
+  return v;
+}
 
 /// Parses a rate with an optional k/M/G suffix ("6M", "500k", "2.5M",
 /// "6000000") into bits per second; throws PreconditionError on

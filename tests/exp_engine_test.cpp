@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -166,6 +167,77 @@ TEST(TrainCampaign, CountTrainShardsCoversAllRepetitions) {
   EXPECT_EQ(count_train_shards(campaign, cfg), 2 * 4);
   cfg.shard_size = 64;
   EXPECT_EQ(count_train_shards(campaign, cfg), 2);
+}
+
+TEST(TrainCellStats, AddCountsADroppedRecord) {
+  TrainCellStats stats(10, TrainCampaignConfig{});
+  serve::TrainRepRecord record;
+  record.dropped = true;
+  stats.add(record);
+  EXPECT_EQ(stats.dropped, 1);
+  EXPECT_EQ(stats.used, 0);
+  EXPECT_EQ(stats.analyzer.repetitions(), 0);
+  EXPECT_TRUE(stats.output_gap_s.empty());
+}
+
+TEST(TrainCellStats, AddRejectsARecordWithTooFewQueueSamples) {
+  TrainCampaignConfig cfg;
+  cfg.sample_contender_queue = true;
+  cfg.queue_prefix = 5;
+  TrainCellStats stats(10, cfg);
+  ASSERT_EQ(stats.queue_at_arrival.size(), 5u);
+  serve::TrainRepRecord record;
+  record.access_delays_s.assign(10, 1e-3);
+  record.output_gap_s = 2e-3;
+  record.queue_at_arrival.assign(4, 1.0);
+  EXPECT_THROW(stats.add(record), util::PreconditionError);
+  // Rejected before anything was folded in.
+  EXPECT_EQ(stats.used, 0);
+  EXPECT_EQ(stats.analyzer.repetitions(), 0);
+  EXPECT_TRUE(stats.output_gap_s.empty());
+  record.queue_at_arrival.assign(5, 1.0);
+  stats.add(record);
+  EXPECT_EQ(stats.used, 1);
+  EXPECT_EQ(stats.queue_at_arrival[4].count(), 1);
+}
+
+TEST(TrainCellStats, MergeInShardOrderEqualsTheEngineCell) {
+  const Campaign campaign(small_spec());
+  TrainCampaignConfig cfg;
+  cfg.ks_prefix = 3;
+  cfg.shard_size = 7;  // 24 repetitions: three full shards and a partial
+  cfg.sample_contender_queue = true;
+  cfg.queue_prefix = 5;
+  const auto engine = run_with_threads(campaign, cfg, 3);
+
+  for (const Cell& cell : campaign.cells()) {
+    // Simulate the cell serially and fold it shard by shard.
+    const core::Scenario scenario(cell.scenario);
+    TrainCellStats folded(cell.train.n, cfg);
+    for (int begin = 0; begin < cell.repetitions; begin += cfg.shard_size) {
+      TrainCellStats shard(cell.train.n, cfg);
+      const int end = std::min(begin + cfg.shard_size, cell.repetitions);
+      for (int rep = begin; rep < end; ++rep) {
+        shard.add(train_rep_record(scenario.run_train(
+            cell.train, static_cast<std::uint64_t>(rep), true)));
+      }
+      folded.merge(shard);
+    }
+
+    const TrainCellStats& live = engine[static_cast<std::size_t>(cell.index)];
+    ASSERT_GT(live.used, 0);
+    EXPECT_EQ(folded.used, live.used);
+    EXPECT_EQ(folded.dropped, live.dropped);
+    EXPECT_EQ(folded.output_gap_s.mean(), live.output_gap_s.mean());
+    EXPECT_EQ(folded.output_gap_s.variance(), live.output_gap_s.variance());
+    EXPECT_EQ(folded.analyzer.mean_curve(), live.analyzer.mean_curve());
+    EXPECT_EQ(folded.analyzer.steady_mean(), live.analyzer.steady_mean());
+    EXPECT_EQ(folded.analyzer.ks_curve(), live.analyzer.ks_curve());
+    for (std::size_t i = 0; i < live.queue_at_arrival.size(); ++i) {
+      EXPECT_EQ(folded.queue_at_arrival[i].mean(),
+                live.queue_at_arrival[i].mean());
+    }
+  }
 }
 
 TEST(RunCells, MapsArbitraryPerCellWork) {

@@ -2,8 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/estimator.hpp"
-#include "core/owd_trend.hpp"
-#include "core/packet_pair.hpp"
+#include "core/method.hpp"
 #include "core/queueing_transport.hpp"
 #include "util/require.hpp"
 
@@ -65,9 +64,10 @@ TEST(LossyLink, EstimatorFailsCleanlyWhenEverythingLost) {
 TEST(LossyLink, PacketPairReportsLostPairs) {
   QueueingTransport inner(healthy_link());
   LossyTransport lossy(inner, /*lose_every=*/4);
-  const PacketPairResult r = packet_pair_estimate(lossy, 1500, 8);
-  EXPECT_EQ(r.pairs_lost, 2);
-  EXPECT_EQ(r.pairs_used, 6);
+  const MeasurementReport r =
+      PacketPairMethod({.size_bytes = 1500, .pairs = 8}).run(lossy, 0);
+  EXPECT_EQ(r.trains_lost, 2);
+  EXPECT_EQ(r.metric("pairs_used"), 6);
   EXPECT_GT(r.estimate_bps, 0.0);
 }
 
@@ -78,7 +78,7 @@ TEST(LossyLink, SlopsIgnoresIncompleteTrains) {
   opt.train_length = 40;
   opt.trains_per_rate = 4;
   opt.max_iterations = 8;
-  const SlopsResult r = slops_estimate(lossy, opt);
+  const MeasurementReport r = SlopsMethod(opt).run(lossy, 0);
   // Half the trains vanish; the bisection still converges to the same
   // band as on the clean link (~6 Mb/s service rate).
   EXPECT_GT(r.estimate_bps, 4.5e6);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/owd_trend.hpp"
-#include "core/packet_pair.hpp"
 #include "core/queueing_transport.hpp"
 #include "core/scenario.hpp"
 #include "util/require.hpp"
@@ -204,42 +203,6 @@ TEST(Methods, SteadyStateFallsBackToTailDispersion) {
   // accelerated 10 Mb/s head.
   EXPECT_NEAR(report.estimate_bps, 6e6, 0.4e6);
   EXPECT_EQ(report.trains_sent, 1);
-}
-
-TEST(Facades, PacketPairEstimateDelegatesToMethod) {
-  QueueingTransport via_facade(transient_link(3));
-  const PacketPairResult facade = packet_pair_estimate(via_facade, 1500, 30);
-
-  QueueingTransport via_method(transient_link(3));
-  PacketPairMethodOptions options;
-  options.size_bytes = 1500;
-  options.pairs = 30;
-  PacketPairMethod method(options);
-  const MeasurementReport report = method.run(via_method, 0);
-
-  EXPECT_EQ(facade.estimate_bps, report.estimate_bps);
-  EXPECT_EQ(facade.mean_gap_s, report.metric("mean_gap_s"));
-  EXPECT_EQ(facade.pairs_used + facade.pairs_lost, report.trains_sent);
-}
-
-TEST(Facades, SlopsEstimateDelegatesToMethod) {
-  SlopsOptions options;
-  options.train_length = 25;
-  options.trains_per_rate = 2;
-  options.max_iterations = 5;
-
-  QueueingTransport via_facade(transient_link(4));
-  const SlopsResult facade = slops_estimate(via_facade, options);
-
-  QueueingTransport via_method(transient_link(4));
-  SlopsMethod method(options);
-  const MeasurementReport report = method.run(via_method, 0);
-
-  EXPECT_EQ(facade.estimate_bps, report.estimate_bps);
-  EXPECT_EQ(facade.low_bps, report.metric("low_bps"));
-  EXPECT_EQ(facade.high_bps, report.metric("high_bps"));
-  // SlopsResult counts complete trains; the report counts attempts.
-  EXPECT_EQ(facade.trains_sent, report.trains_sent - report.trains_lost);
 }
 
 /// Decorator that corrupts the first `lose_first` trains from an inner

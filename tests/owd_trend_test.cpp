@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/method.hpp"
 #include "core/queueing_transport.hpp"
 #include "core/scenario.hpp"
 #include "stats/rng.hpp"
@@ -79,11 +80,11 @@ TEST(Slops, ConvergesOnQueueingLink) {
   SlopsOptions opt;
   opt.train_length = 60;
   opt.trains_per_rate = 3;
-  const SlopsResult r = slops_estimate(link, opt);
+  const MeasurementReport r = SlopsMethod(opt).run(link, /*seed=*/0);
   EXPECT_GT(r.estimate_bps, 4.8e6);
   EXPECT_LT(r.estimate_bps, 7.2e6);
   EXPECT_GT(r.trains_sent, 0);
-  EXPECT_LE(r.low_bps, r.high_bps);
+  EXPECT_LE(r.metric("low_bps"), r.metric("high_bps"));
 }
 
 TEST(Slops, TracksAchievableOnWlan) {
@@ -97,7 +98,7 @@ TEST(Slops, TracksAchievableOnWlan) {
   opt.train_length = 60;
   opt.trains_per_rate = 3;
   opt.max_iterations = 10;
-  const SlopsResult r = slops_estimate(link, opt);
+  const MeasurementReport r = SlopsMethod(opt).run(link, /*seed=*/0);
   const double capacity = cell.phy.saturation_rate(1500).to_bps();
   const double available = capacity - 4e6;  // ~2.9 Mb/s
   // Lands in the fair-share region, above the available bandwidth.
@@ -106,18 +107,15 @@ TEST(Slops, TracksAchievableOnWlan) {
 }
 
 TEST(Slops, ValidatesOptions) {
-  QueueingTransport::Config cfg;
-  cfg.probe_service = [](int, stats::Rng&) { return 0.001; };
-  QueueingTransport link(cfg);
   SlopsOptions opt;
   opt.train_length = 2;
-  EXPECT_THROW((void)slops_estimate(link, opt), util::PreconditionError);
+  EXPECT_THROW((void)SlopsMethod(opt), util::PreconditionError);
   opt = SlopsOptions{};
   opt.skip_head = -1;
-  EXPECT_THROW((void)slops_estimate(link, opt), util::PreconditionError);
+  EXPECT_THROW((void)SlopsMethod(opt), util::PreconditionError);
   opt = SlopsOptions{};
   opt.max_rate_bps = opt.min_rate_bps;
-  EXPECT_THROW((void)slops_estimate(link, opt), util::PreconditionError);
+  EXPECT_THROW((void)SlopsMethod(opt), util::PreconditionError);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "core/packet_pair.hpp"
+#include "core/method.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,15 +9,20 @@
 namespace csmabw::core {
 namespace {
 
+MeasurementReport packet_pairs(ProbeTransport& t, int size_bytes, int pairs) {
+  return PacketPairMethod({.size_bytes = size_bytes, .pairs = pairs})
+      .run(t, /*seed=*/0);
+}
+
 TEST(PacketPair, ConstantServiceYieldsServiceRate) {
   // On a fixed-service FIFO link the pair dispersion equals the service
   // time — the classic capacity interpretation.
   QueueingTransport::Config cfg;
   cfg.probe_service = [](int, stats::Rng&) { return 0.002; };
   QueueingTransport t(cfg);
-  const PacketPairResult r = packet_pair_estimate(t, 1500, 10);
-  EXPECT_EQ(r.pairs_used, 10);
-  EXPECT_NEAR(r.mean_gap_s, 0.002, 1e-9);
+  const MeasurementReport r = packet_pairs(t, 1500, 10);
+  EXPECT_EQ(r.metric("pairs_used"), 10);
+  EXPECT_NEAR(r.metric("mean_gap_s"), 0.002, 1e-9);
   EXPECT_NEAR(r.estimate_bps, 1500 * 8 / 0.002, 1.0);
 }
 
@@ -30,7 +35,7 @@ TEST(PacketPair, OverestimatesWhenSecondPacketAccelerated) {
     return index < 2 ? 0.001 : 0.002;  // both pair packets accelerated
   };
   QueueingTransport t(cfg);
-  const PacketPairResult r = packet_pair_estimate(t, 1500, 10);
+  const MeasurementReport r = packet_pairs(t, 1500, 10);
   const double steady_rate = 1500 * 8 / 0.002;
   EXPECT_GT(r.estimate_bps, steady_rate);
 }
@@ -42,7 +47,7 @@ TEST(PacketPair, WlanPairTargetsAchievableNotCapacity) {
   cfg.seed = 21;
   cfg.contenders.push_back(StationSpec::poisson(BitRate::mbps(4.0), 1500));
   SimTransport t(cfg);
-  const PacketPairResult r = packet_pair_estimate(t, 1500, 40);
+  const MeasurementReport r = packet_pairs(t, 1500, 40);
   const double capacity = cfg.phy.saturation_rate(1500).to_bps();
   EXPECT_LT(r.estimate_bps, 0.85 * capacity);
   EXPECT_GT(r.estimate_bps, 0.15 * capacity);
@@ -54,7 +59,7 @@ TEST(PacketPair, UncontendedPairSeesCapacity) {
   ScenarioConfig cfg;
   cfg.seed = 22;
   SimTransport t(cfg);
-  const PacketPairResult r = packet_pair_estimate(t, 1500, 20);
+  const MeasurementReport r = packet_pairs(t, 1500, 20);
   const double capacity = cfg.phy.saturation_rate(1500).to_bps();
   EXPECT_NEAR(r.estimate_bps, capacity, 0.15 * capacity);
 }
@@ -63,10 +68,8 @@ TEST(PacketPair, RejectsBadArguments) {
   QueueingTransport::Config cfg;
   cfg.probe_service = [](int, stats::Rng&) { return 0.001; };
   QueueingTransport t(cfg);
-  EXPECT_THROW((void)packet_pair_estimate(t, 0, 10),
-               util::PreconditionError);
-  EXPECT_THROW((void)packet_pair_estimate(t, 1500, 0),
-               util::PreconditionError);
+  EXPECT_THROW((void)packet_pairs(t, 0, 10), util::PreconditionError);
+  EXPECT_THROW((void)packet_pairs(t, 1500, 0), util::PreconditionError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/collector.hpp"
 #include "exp/engine.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
@@ -446,11 +447,14 @@ TEST(TraceQuery, AggregationRegistryRejectsBadSpecs) {
                util::PreconditionError);
   EXPECT_THROW((void)query::make_aggregation("delay-hist:by=nonsense"),
                util::PreconditionError);
-  EXPECT_EQ(query::make_aggregation("delay:shard=4,tol=0.2")->name(),
-            "delay");
+  // Replays fold in the engine's shards; no other size matches a live
+  // campaign, so there is no option to pick one.
+  EXPECT_THROW((void)query::make_aggregation("delay:shard=4"),
+               util::PreconditionError);
+  EXPECT_EQ(query::make_aggregation("delay:tol=0.2")->name(), "delay");
 }
 
-TEST(TraceQuery, DelayAggregationMatchesReplayStatsBitIdentically) {
+TEST(TraceQuery, DelayAggregationMatchesLiveCampaignBitIdentically) {
   const fs::path dir = fs::temp_directory_path() / "csmabw-trace-query-delay";
   fs::remove_all(dir);
 
@@ -460,48 +464,38 @@ TEST(TraceQuery, DelayAggregationMatchesReplayStatsBitIdentically) {
   spec.phy_presets = {"dot11b_short"};
   spec.train_lengths = {30};
   spec.probe_mbps = {5.0};
-  spec.repetitions = 6;
+  spec.repetitions = 70;  // two shards of the engine's default 64
   spec.campaign_seed = 11;
   spec.trace_dir = dir.string();
+  const exp::Campaign campaign(spec);
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;
-  (void)exp::run_train_campaign(exp::Campaign(spec), tcfg,
-                                exp::Runner(exp::RunnerOptions{}));
+  ASSERT_EQ(exp::count_train_shards(campaign, tcfg), 2);
+  const std::vector<exp::TrainCellStats> live = exp::run_train_campaign(
+      campaign, tcfg, exp::Runner(exp::RunnerOptions{}));
 
   const std::vector<TraceFile> files = list_traces(dir.string());
-  ASSERT_EQ(files.size(), 6u);
-
-  // Reference: each file replayed on its own and folded through
-  // TrainReplayStats (shard 4 to exercise the shard merge), repetition
-  // by repetition.
-  TrainReplayStats ref(
-      exp::train_transient_config(files.front().meta.train_n, tcfg), 4);
-  for (const TraceFile& f : files) {
-    ref.add(replay_train_file(f.path));
-  }
-  ref.finish();
+  ASSERT_EQ(files.size(), 70u);
 
   exp::RunnerOptions ropts;
   ropts.threads = 3;
   const std::unique_ptr<query::Aggregation> agg =
-      query::make_aggregation("delay:shard=4");
+      query::make_aggregation("delay");
   (void)query::run_query(files, query::QueryPredicate{}, *agg,
                          exp::Runner(ropts));
+  const std::vector<std::string> columns = agg->columns();
+  EXPECT_EQ(std::vector<std::string>(columns.begin() + 1, columns.end()),
+            exp::Collector::train_columns(0.1));
   const std::vector<std::vector<util::Value>> rows = agg->rows();
   ASSERT_EQ(rows.size(), 1u);
   const std::vector<util::Value>& row = rows.front();
-  ASSERT_EQ(row.size(), 10u);
-  EXPECT_EQ(row[1].number(), ref.used());
-  EXPECT_EQ(row[2].number(), ref.dropped());
-  const double gap = ref.output_gap_s().mean();
-  EXPECT_EQ(row[3].number(), gap * 1e3);
-  EXPECT_EQ(row[4].number(),
-            files.front().meta.train_size * 8.0 / gap / 1e6);
-  EXPECT_EQ(row[5].number(), ref.analyzer().mean_at(0) * 1e3);
-  EXPECT_EQ(row[6].number(), ref.analyzer().steady_mean() * 1e3);
-  EXPECT_EQ(row[7].number(), ref.analyzer().ks_at(0));
-  EXPECT_EQ(row[8].number(), ref.analyzer().ks_threshold_at(0));
-  EXPECT_EQ(row[9].number(), ref.analyzer().transient_length(0.1));
+  const std::vector<util::Value> expected = exp::Collector::train_metrics(
+      live.front(), campaign.cells().front().train.size_bytes, 0.1);
+  ASSERT_EQ(row.size(), expected.size() + 1);
+  EXPECT_EQ(row[0].number(), 0);
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(row[k + 1].number(), expected[k].number()) << columns[k + 1];
+  }
 
   fs::remove_all(dir);
 }

@@ -128,25 +128,29 @@ TEST(TraceReplay, CampaignRecordingReplaysBitIdentically) {
               fs::path(train_trace_path("", 0, r)).filename());
   }
 
-  // Replay single-threaded with the same shard decomposition: every
-  // statistic must come back bit-identical, not merely close.
-  TrainReplayStats replay(exp::train_transient_config(60, tcfg),
-                          /*shard_size=*/4);
-  for (const TraceFile& file : files) {
-    replay.add(replay_train_file(file.path, core::kProbeFlow));
+  // Replay single-threaded, folding the records through the same
+  // add/merge calls in the same shards of 4: every statistic must come
+  // back bit-identical, not merely close.
+  exp::TrainCellStats replay(60, tcfg);
+  exp::TrainCellStats shard(60, tcfg);
+  for (std::size_t r = 0; r < files.size(); ++r) {
+    shard.add(exp::train_rep_record(
+        replay_train_file(files[r].path, core::kProbeFlow)));
+    if ((r + 1) % 4 == 0 || r + 1 == files.size()) {
+      replay.merge(shard);
+      shard = exp::TrainCellStats(60, tcfg);
+    }
   }
-  replay.finish();
 
-  EXPECT_EQ(replay.used(), live_cell.used);
-  EXPECT_EQ(replay.dropped(), live_cell.dropped);
-  EXPECT_EQ(replay.output_gap_s().mean(), live_cell.output_gap_s.mean());
-  EXPECT_EQ(replay.analyzer().steady_mean(),
-            live_cell.analyzer.steady_mean());
-  EXPECT_EQ(replay.analyzer().ks_at(0), live_cell.analyzer.ks_at(0));
-  EXPECT_EQ(replay.analyzer().transient_length(0.1),
+  EXPECT_EQ(replay.used, live_cell.used);
+  EXPECT_EQ(replay.dropped, live_cell.dropped);
+  EXPECT_EQ(replay.output_gap_s.mean(), live_cell.output_gap_s.mean());
+  EXPECT_EQ(replay.analyzer.steady_mean(), live_cell.analyzer.steady_mean());
+  EXPECT_EQ(replay.analyzer.ks_at(0), live_cell.analyzer.ks_at(0));
+  EXPECT_EQ(replay.analyzer.transient_length(0.1),
             live_cell.analyzer.transient_length(0.1));
   for (int i = 0; i < 60; ++i) {
-    EXPECT_EQ(replay.analyzer().mean_at(i), live_cell.analyzer.mean_at(i))
+    EXPECT_EQ(replay.analyzer.mean_at(i), live_cell.analyzer.mean_at(i))
         << "index " << i;
   }
   fs::remove_all(dir);
@@ -234,14 +238,6 @@ TEST(TraceReplay, RejectsIncompleteTraces) {
   }
   EXPECT_THROW((void)replay_train(full.packets(), 424242),
                util::PreconditionError);
-}
-
-TEST(TraceReplay, TrainReplayStatsGuardsMisuse) {
-  TrainReplayStats stats(exp::train_transient_config(10, {}), 4);
-  EXPECT_THROW((void)stats.analyzer(), util::PreconditionError);
-  stats.finish();
-  core::TrainRun run;
-  EXPECT_THROW(stats.add(run), util::PreconditionError);
 }
 
 }  // namespace

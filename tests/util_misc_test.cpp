@@ -138,6 +138,26 @@ TEST(Args, BadNumberThrows) {
   EXPECT_THROW((void)args.get("rate", 0.0), PreconditionError);
 }
 
+TEST(Args, RejectsPartialAndFractionalNumbers) {
+  const char* argv[] = {"prog",          "--reps=12x",    "--frac=2.6",
+                        "--threads=2x",  "--rate=inf",    "--list=1,2x",
+                        "--ints=3,4.5",  "--good=2.5e3",  "--n=-7"};
+  Args args(9, argv);
+  EXPECT_THROW((void)args.get("reps", 0), PreconditionError);
+  EXPECT_THROW((void)args.get("frac", 0), PreconditionError);
+  EXPECT_THROW((void)args.get("threads", 0), PreconditionError);
+  EXPECT_THROW((void)args.get("reps", 0.0), PreconditionError);
+  EXPECT_THROW((void)args.get("rate", 0.0), PreconditionError);
+  EXPECT_THROW((void)args.get_doubles("list", {}), PreconditionError);
+  EXPECT_THROW((void)args.get_ints("ints", {}), PreconditionError);
+  // Whole numbers still parse: fractions and exponents as doubles,
+  // signed integers as ints.
+  EXPECT_DOUBLE_EQ(args.get("frac", 0.0), 2.6);
+  EXPECT_DOUBLE_EQ(args.get("good", 0.0), 2500.0);
+  EXPECT_EQ(args.get("n", 0), -7);
+  EXPECT_EQ(args.get_doubles("ints", {}), (std::vector<double>{3.0, 4.5}));
+}
+
 TEST(Args, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
   Args args(1, argv);
