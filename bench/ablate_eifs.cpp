@@ -66,5 +66,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ablate_eifs", run, argc, argv);
+  return util::run_tool("ablate_eifs", run, argc, argv);
 }

@@ -75,5 +75,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ablate_immediate_access", run, argc, argv);
+  return util::run_tool("ablate_immediate_access", run, argc, argv);
 }

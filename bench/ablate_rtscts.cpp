@@ -68,5 +68,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ablate_rtscts", run, argc, argv);
+  return util::run_tool("ablate_rtscts", run, argc, argv);
 }

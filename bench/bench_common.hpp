@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -28,20 +27,6 @@
 #include "util/table.hpp"
 
 namespace csmabw::bench {
-
-/// Runs a tool's `run(argc, argv)` and turns an escaping exception (bad
-/// flags, a missing file, a merge with records missing) into one
-/// `<tool>: error: <what>` line on stderr and exit code 2, instead of
-/// an abort through std::terminate.
-inline int run_tool(const char* tool, int (*run)(int, char**), int argc,
-                    char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << tool << ": error: " << e.what() << "\n";
-    return 2;
-  }
-}
 
 /// Whether campaign progress lines should be drawn: forced by
 /// --progress / suppressed by --progress=0, defaulting to "stderr is a

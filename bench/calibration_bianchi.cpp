@@ -63,5 +63,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("calibration_bianchi", run, argc, argv);
+  return util::run_tool("calibration_bianchi", run, argc, argv);
 }

@@ -495,5 +495,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("campaign_sweep", run, argc, argv);
+  return util::run_tool("campaign_sweep", run, argc, argv);
 }

@@ -132,5 +132,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ext_grid_transient", run, argc, argv);
+  return util::run_tool("ext_grid_transient", run, argc, argv);
 }

@@ -158,5 +158,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ext_lattice_delay", run, argc, argv);
+  return util::run_tool("ext_lattice_delay", run, argc, argv);
 }

@@ -97,5 +97,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ext_rate_anomaly", run, argc, argv);
+  return util::run_tool("ext_rate_anomaly", run, argc, argv);
 }

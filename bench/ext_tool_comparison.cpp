@@ -143,5 +143,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("ext_tool_comparison", run, argc, argv);
+  return util::run_tool("ext_tool_comparison", run, argc, argv);
 }

@@ -59,5 +59,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig01_steady_state_rate_response", run, argc, argv);
+  return util::run_tool("fig01_steady_state_rate_response", run, argc, argv);
 }

@@ -51,5 +51,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig04_complete_rate_response", run, argc, argv);
+  return util::run_tool("fig04_complete_rate_response", run, argc, argv);
 }

@@ -67,5 +67,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig06_mean_access_delay", run, argc, argv);
+  return util::run_tool("fig06_mean_access_delay", run, argc, argv);
 }

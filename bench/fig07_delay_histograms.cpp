@@ -80,5 +80,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig07_delay_histograms", run, argc, argv);
+  return util::run_tool("fig07_delay_histograms", run, argc, argv);
 }

@@ -76,5 +76,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig08_ks_transient_queue", run, argc, argv);
+  return util::run_tool("fig08_ks_transient_queue", run, argc, argv);
 }

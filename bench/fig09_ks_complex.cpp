@@ -82,5 +82,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig09_ks_complex", run, argc, argv);
+  return util::run_tool("fig09_ks_complex", run, argc, argv);
 }

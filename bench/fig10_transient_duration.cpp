@@ -72,5 +72,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig10_transient_duration", run, argc, argv);
+  return util::run_tool("fig10_transient_duration", run, argc, argv);
 }

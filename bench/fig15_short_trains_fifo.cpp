@@ -60,5 +60,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig15_short_trains_fifo", run, argc, argv);
+  return util::run_tool("fig15_short_trains_fifo", run, argc, argv);
 }

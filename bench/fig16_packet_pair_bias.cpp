@@ -90,5 +90,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig16_packet_pair_bias", run, argc, argv);
+  return util::run_tool("fig16_packet_pair_bias", run, argc, argv);
 }

@@ -66,5 +66,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("fig17_mser_correction", run, argc, argv);
+  return util::run_tool("fig17_mser_correction", run, argc, argv);
 }

@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks of the library's hot paths: the
 // discrete-event engine, the DCF simulator and its medium (complete-graph
-// and sparse-graph bookkeeping), the probe-train repetition, the exp::
-// campaign engine, the KS statistic, MSER, the trace-driven FIFO queue,
-// and the event-trace codec (write + mapped-scan throughput).  These
-// bound the cost of scaling the figure ensembles up to the paper's
-// 25k-70k repetitions.
+// and sparse-graph bookkeeping), the per-repetition cell build, the
+// probe-train repetition, the exp:: campaign engine, the KS statistic,
+// MSER, the trace-driven FIFO queue, and the event-trace codec (write +
+// mapped-scan throughput).  These bound the cost of scaling the figure
+// ensembles up to the paper's 25k-70k repetitions.
 //
 // Results are additionally written as google-benchmark JSON to
 // BENCH_microbench.json (override with --benchmark_out=PATH) so CI and
@@ -217,6 +217,41 @@ BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid1024,
                   topo::Topology::grid(32, 32), 26886);
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid4096,
                   topo::Topology::grid(64, 64), 102954);
+
+void BM_ScenarioCellBuild(benchmark::State& state, const char* scenario,
+                          int declared_stations) {
+  // One repetition's cell as Scenario::run_train builds it: from
+  // prebuilt traffic models, with a new repetition (so new random
+  // streams) every iteration.  Items are stations built.  grid1024 is
+  // perfbench's 20 kb/s lattice cell: 1024 stations, 2048 random
+  // streams, most of which draw only a few numbers per repetition.
+  const core::ScenarioConfig cfg =
+      core::ScenarioRegistry::global().resolve(scenario).to_config();
+  std::vector<core::TrafficModelPtr> models;
+  for (const core::StationSpec& st : cfg.contenders) {
+    models.push_back(
+        traffic::TrafficModelRegistry::global().create(st.traffic));
+  }
+  std::uint64_t rep = 0;
+  std::int64_t stations = 0;
+  for (auto _ : state) {
+    core::ScenarioCell cell(cfg, rep++, models, /*fifo_model=*/nullptr);
+    const int built = cell.net().num_stations();
+    if (built != declared_stations) {
+      state.SkipWithError(("built " + std::to_string(built) +
+                           " stations, the row declares " +
+                           std::to_string(declared_stations))
+                              .c_str());
+      break;
+    }
+    stations += built;
+  }
+  state.SetItemsProcessed(stations);
+}
+BENCHMARK_CAPTURE(BM_ScenarioCellBuild, paper_fig2, "paper_fig2", 2);
+BENCHMARK_CAPTURE(BM_ScenarioCellBuild, grid1024,
+                  "topology=grid:32x32;contenders=1023x poisson:rate=20k",
+                  1024);
 
 void BM_ProbeTrainRepetition(benchmark::State& state) {
   core::ScenarioConfig cfg;

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -34,7 +33,7 @@ namespace {
 const char* kDefaultFamilies =
     "BM_EventQueueScheduleRun,BM_EventQueueCancelHeavy,"
     "BM_DcfSaturatedStation,BM_MediumContention,BM_ConflictGraphMedium,"
-    "BM_ProbeTrainRepetition,BM_CampaignEngine,"
+    "BM_ScenarioCellBuild,BM_ProbeTrainRepetition,BM_CampaignEngine,"
     "BM_ResultCacheKey,BM_CacheLookupHit,"
     "BM_TraceScanMmap,BM_TraceQueryPushdown,BM_TraceAggHistogram,"
     "BM_MetricsCounterHot,BM_ScopedSpan";
@@ -153,5 +152,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return csmabw::bench::run_tool("perf_compare", run, argc, argv);
+  return csmabw::util::run_tool("perf_compare", run, argc, argv);
 }

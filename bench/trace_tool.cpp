@@ -308,5 +308,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_tool("trace_tool", run, argc, argv);
+  return util::run_tool("trace_tool", run, argc, argv);
 }

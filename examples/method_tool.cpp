@@ -16,9 +16,14 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace csmabw;
+using namespace csmabw;
+
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"list", "seed", "cross-mbps", "contenders", "fifo-mbps",
+                      "method"});
 
   const core::MethodRegistry& registry = core::MethodRegistry::global();
   if (args.get("list", false)) {
@@ -66,4 +71,10 @@ int main(int argc, char** argv) {
     curve.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_method_tool", run, argc, argv);
 }

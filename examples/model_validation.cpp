@@ -16,9 +16,13 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace csmabw;
+using namespace csmabw;
+
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"contender-mbps", "fifo-mbps", "seed", "max-mbps"});
   const double contender = args.get("contender-mbps", 3.0);
   const double fifo = args.get("fifo-mbps", 1.0);
   const TimeNs horizon = TimeNs::sec(9);
@@ -65,4 +69,10 @@ int main(int argc, char** argv) {
   std::cout << "\nworst-case prediction error: "
             << util::Table::format(worst, 3) << " Mb/s\n";
   return worst > 0.5 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_model_validation", run, argc, argv);
 }

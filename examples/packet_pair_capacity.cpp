@@ -16,9 +16,13 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace csmabw;
+using namespace csmabw;
+
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"pairs"});
   const int pairs = args.get("pairs", 200);
 
   util::Table table({"link", "pair_estimate_mbps", "note"});
@@ -66,4 +70,10 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_packet_pair_capacity", run, argc, argv);
 }

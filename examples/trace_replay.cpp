@@ -22,8 +22,11 @@
 
 using namespace csmabw;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"reps", "train", "dir"});
   const int reps = args.get("reps", 16);
   const int train = args.get("train", 60);
   const std::string dir = args.get("dir", "trace-demo");
@@ -92,4 +95,10 @@ int main(int argc, char** argv) {
             << counts[trace::kind_index(trace::EventKind::kBackoffFreeze)]
             << " backoff freezes across " << reps << " repetitions\n";
   return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_trace_replay", run, argc, argv);
 }

@@ -16,9 +16,14 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace csmabw;
+using namespace csmabw;
+
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"seed", "cross-mbps", "train", "reps", "size",
+                      "probe-mbps", "show"});
 
   core::ScenarioConfig cell;
   cell.seed = static_cast<std::uint64_t>(args.get("seed", 5));
@@ -79,4 +84,10 @@ int main(int argc, char** argv) {
             << std::max(ta.transient_length(0.1), g.truncated)
             << " probes (or send that many extra) in this scenario\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_transient_explorer", run, argc, argv);
 }

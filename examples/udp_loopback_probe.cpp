@@ -16,9 +16,13 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace csmabw;
+using namespace csmabw;
+
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"train", "size", "rate-mbps"});
 
   traffic::TrainSpec spec;
   spec.n = args.get("train", 50);
@@ -56,4 +60,10 @@ int main(int argc, char** argv) {
     std::printf("sockets unavailable in this environment: %s\n", e.what());
     return 0;  // not an error for the example suite
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_udp_loopback_probe", run, argc, argv);
 }

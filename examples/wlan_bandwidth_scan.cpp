@@ -16,9 +16,15 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace csmabw;
+using namespace csmabw;
+
+namespace {
+
+int run(int argc, char** argv) {
   const util::Args args(argc, argv);
+  args.require_known({"seed", "cross-mbps", "fifo-mbps", "train",
+                      "trains-per-rate", "mser", "min-mbps", "max-mbps",
+                      "step-mbps"});
 
   core::ScenarioConfig cell;
   cell.seed = static_cast<std::uint64_t>(args.get("seed", 1));
@@ -64,4 +70,10 @@ int main(int argc, char** argv) {
                    cell.phy.saturation_rate(1500).to_mbps(), 3)
             << " Mb/s\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("example_wlan_bandwidth_scan", run, argc, argv);
 }

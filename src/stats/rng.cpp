@@ -1,5 +1,7 @@
 #include "stats/rng.hpp"
 
+#include <random>
+
 #include "util/require.hpp"
 
 namespace csmabw::stats {

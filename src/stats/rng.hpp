@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <string_view>
+
+#include "stats/lazy_mt64.hpp"
 
 namespace csmabw::stats {
 
@@ -14,6 +15,9 @@ namespace csmabw::stats {
 /// Independent sub-streams are derived with `fork(name)`, which mixes the
 /// parent seed with a hash of the name; forks are stable across runs and
 /// independent of draw order on the parent.
+///
+/// The engine is std::mt19937_64's exact sequence (LazyMt64), so a
+/// stream costs only what it draws.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -32,11 +36,10 @@ class Rng {
   [[nodiscard]] double exponential(double mean);
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  LazyMt64 engine_;
 };
 
 }  // namespace csmabw::stats

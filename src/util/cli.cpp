@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -148,6 +150,16 @@ std::vector<std::string> Args::get_strings(
     return def;
   }
   return split_list(name, it->second);
+}
+
+int run_tool(const char* tool, int (*run)(int, char**), int argc,
+             char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << tool << ": error: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 double bench_scale() {

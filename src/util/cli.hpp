@@ -54,6 +54,14 @@ class Args {
   std::vector<std::string> positional_;
 };
 
+/// Runs a tool's `run(argc, argv)` and turns an escaping exception (bad
+/// flags, a missing file, a merge with records missing) into one
+/// `<tool>: error: <what>` line on stderr and exit code 2, instead of
+/// an abort through std::terminate.  The bench and example `main`s
+/// go through it.
+int run_tool(const char* tool, int (*run)(int, char**), int argc,
+             char** argv);
+
 /// Reads the CSMABW_BENCH_SCALE environment variable (default 1.0).
 ///
 /// Every bench multiplies its ensemble sizes by this factor, so

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
+#include "stats/lazy_mt64.hpp"
 #include "stats/summary.hpp"
 #include "util/require.hpp"
 
@@ -118,6 +122,75 @@ TEST(Rng, UniformRejectsEmptyRange) {
   Rng r(1);
   EXPECT_THROW((void)r.uniform(2.0, 2.0), util::PreconditionError);
   EXPECT_THROW((void)r.uniform_int(3, 2), util::PreconditionError);
+}
+
+// ------------------------------------------------- LazyMt64 vs the standard
+
+constexpr std::uint64_t kSeeds[] = {0, 1, 42,
+                                    std::numeric_limits<std::uint64_t>::max()};
+
+/// Rng's seed mixer (SplitMix64 finalizer), copied as the reference for
+/// how Rng seeds its engine.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+TEST(LazyMt64, IsAUniformRandomBitGeneratorWithTheStandardRange) {
+  static_assert(std::uniform_random_bit_generator<LazyMt64>);
+  static_assert(LazyMt64::min() == std::mt19937_64::min());
+  static_assert(LazyMt64::max() == std::mt19937_64::max());
+  static_assert(LazyMt64::kStateWords == std::mt19937_64::state_size);
+}
+
+TEST(LazyMt64, MatchesStdMt19937_64OverThreeBlocks) {
+  for (const std::uint64_t seed : kSeeds) {
+    LazyMt64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(lazy(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(LazyMt64, StoppedStreamsContinueAcrossChunkAndBlockBoundaries) {
+  // Stops before any draw, mid-block, and on both sides of a chunk edge
+  // (16), of the first twisted word that reads another twisted word
+  // (156) and of the block edge (312).  A copy of the stopped stream
+  // draws the rest.
+  for (const int stop : {0, 15, 16, 17, 100, 155, 156, 157, 311, 312, 313}) {
+    for (const std::uint64_t seed : kSeeds) {
+      LazyMt64 lazy(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < stop; ++i) {
+        ASSERT_EQ(lazy(), ref()) << "seed " << seed << " draw " << i;
+      }
+      LazyMt64 resumed = lazy;
+      for (int i = stop; i < stop + 400; ++i) {
+        ASSERT_EQ(resumed(), ref())
+            << "seed " << seed << " stopped at " << stop << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, DistributionsMatchStdMt19937_64SeededTheSameWay) {
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 ref(mix64(seed));
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(rng.uniform01(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      ASSERT_EQ(rng.uniform(-3.0, 5.5),
+                std::uniform_real_distribution<double>(-3.0, 5.5)(ref));
+      ASSERT_EQ(rng.uniform_int(0, 1023),
+                std::uniform_int_distribution<int>(0, 1023)(ref));
+      ASSERT_EQ(rng.exponential(0.25),
+                std::exponential_distribution<double>(4.0)(ref));
+    }
+  }
 }
 
 }  // namespace
