@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "exp/progress.hpp"
 #include "exp/runner.hpp"
 #include "obs/clock.hpp"
@@ -44,6 +45,17 @@ inline exp::Runner runner_from(const util::Args& args,
   opts.threads = args.get("threads", 0);
   opts.progress = progress;
   return exp::Runner(opts);
+}
+
+/// The scenario-grammar entry of the paper's Fig 2 cell at another load:
+/// one Poisson contender at `cross_mbps`, spelled as
+/// core::StationSpec::poisson spells it, so the cell's cache key equals
+/// the one built from the same StationSpec directly.
+inline std::string poisson_scenario(double cross_mbps) {
+  core::ScenarioSpec scenario;
+  scenario.contenders.push_back(
+      core::StationSpec::poisson(BitRate::mbps(cross_mbps)));
+  return scenario.describe();
 }
 
 inline void announce_to(std::ostream& out, const std::string& figure,

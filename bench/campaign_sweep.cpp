@@ -1,8 +1,22 @@
-// Engine-only campaign: one command sweeping contending stations ×
-// cross-traffic rate × PHY preset (optionally × train length, probe
-// rate, FIFO cross-traffic, measurement method), running every
-// (cell, repetition) across a worker pool and streaming results to the
-// console, --csv=PATH and --jsonl=PATH.
+// Engine-only campaign: one command sweeping scenario-grammar cells
+// (optionally × conflict-graph topology, train length, probe rate,
+// measurement method), running every (cell, repetition) across a worker
+// pool and streaming results to the console, --csv=PATH and
+// --jsonl=PATH.
+//
+// --scenarios takes a '|'-separated list of registered scenario names
+// and/or inline scenario grammars (core::ScenarioSpec), the OUTERMOST
+// axis; without it the campaign is the one paper_fig2 cell.  The
+// paper's cell at other loads is `contenders=poisson:rate=4M` (two such
+// stations: `contenders=2x poisson:rate=4M`; FIFO cross-traffic on the
+// probe's queue: `;fifo=poisson:rate=1M`; another PHY: `phy=dot11g;`).
+// The cross_mbps column is each cell's total offered load.
+// --topologies adds a conflict-graph axis under it: each scenario entry
+// is expanded once per topology spec (clique|grid:3x3|pairs-hidden:2,
+// '|'-separated like --scenarios), labelling cells with the full
+// grammar including `topology=`.  --list-scenarios, --list-methods and
+// --list-topologies print the registries (names + option keys) and
+// exit.
 //
 // Without --methods each cell is a probe-train ensemble and the output
 // is one summary row per cell.  With --methods the method list becomes
@@ -60,26 +74,14 @@
 // rows (stdout, --csv, --jsonl, traces) are byte-identical with
 // observability on or off.
 //
-// With --scenarios the '|'-separated list of registered scenario names
-// and/or inline scenario grammars (core::ScenarioSpec) becomes the
-// OUTERMOST axis, replacing --contenders/--cross-mbps/--phy/--fifo:
-// heterogeneous-rate and non-Poisson cells sweep like any other
-// coordinate.  --topologies adds a conflict-graph axis under it: each
-// scenario entry is expanded once per topology spec
-// (clique|grid:3x3|pairs-hidden:2, '|'-separated like --scenarios),
-// labelling cells with the full grammar including `topology=`.
-// --list-scenarios, --list-methods and --list-topologies print the
-// registries (names + option keys) and exit.
-//
 // Bad input (an unknown or misspelled flag, a malformed value, a merge
 // whose cache lacks a record) prints one `campaign_sweep: error: ...`
 // line to stderr and exits 2.
 //
 // Examples:
-//   campaign_sweep --contenders=1,2,3 --cross-mbps=1,2,4
-//     --phy=dot11b_short,dot11b_long --reps=200 --threads=8
-//     --csv=sweep.csv --jsonl=sweep.jsonl
-//   campaign_sweep --contenders=1 --cross-mbps=2,4 --reps=3
+//   campaign_sweep --reps=200 --threads=8 --csv=sweep.csv
+//     --scenarios='contenders=poisson:rate=2M|contenders=2x poisson:rate=2M'
+//   campaign_sweep --scenarios='paper_fig2|paper_fig3' --reps=3
 //     --methods='bisection;slops:train_length=30;packet_pair:pairs=50'
 //     --format=json
 //   campaign_sweep --reps=50 --train=60
@@ -239,10 +241,10 @@ int run_method_sweep(const exp::Campaign& campaign, const util::Args& args,
   exp::Progress progress(exp::count_method_runs(campaign), "methods",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args);
-  // stderr, not stdout: stdout must stay byte-identical across --threads.
-  std::cerr << "# threads: " << runner.threads() << "\n";
   ServeState st;
   init_serve_state(st, args, &progress, obs);
+  // stderr, not stdout: stdout must stay byte-identical across --threads.
+  std::cerr << "# threads: " << runner.threads() << "\n";
   const std::vector<exp::MethodRun> runs = exp::run_method_campaign(
       campaign, exp::MethodCampaignConfig{}, runner, st.io);
   progress.finish();
@@ -301,8 +303,7 @@ int run(int argc, char** argv) {
   const util::Args args(argc, argv);
   args.require_known({"list-methods", "list-scenarios", "list-topologies",
                       "format", "out", "csv", "jsonl", "seed", "scenarios",
-                      "topologies", "contenders", "cross-mbps", "phy", "fifo",
-                      "fifo-mbps", "train", "probe-mbps", "methods", "reps",
+                      "topologies", "train", "probe-mbps", "methods", "reps",
                       "trace", "threads", "progress", "cache", "shard",
                       "merge", "metrics-out", "prof", "obs"});
 
@@ -346,35 +347,12 @@ int run(int argc, char** argv) {
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 1));
   const std::string scenarios = args.get("scenarios", "");
   if (!scenarios.empty()) {
-    // Scenario axis: each entry fixes phy/contenders/cross/fifo, so the
-    // per-knob flags would be silently ignored — reject them loudly.
-    for (const char* flag :
-         {"contenders", "cross-mbps", "phy", "fifo", "fifo-mbps"}) {
-      std::string message = "--scenarios replaces --";
-      message += flag;
-      message += "; drop the flag or encode it in the scenario";
-      CSMABW_REQUIRE(!args.has(flag), message);
-    }
     spec.scenarios = exp::split_scenario_list(scenarios);
-    const std::string topologies = args.get("topologies", "");
-    if (!topologies.empty()) {
-      // Same '|' separator as --scenarios (topology args use ':').
-      spec.topologies = exp::split_scenario_list(topologies);
-    }
-  } else {
-    CSMABW_REQUIRE(!args.has("topologies"),
-                   "--topologies multiplies the --scenarios axis; give "
-                   "--scenarios at least one entry (station counts come "
-                   "from the scenario)");
-    spec.contender_counts = args.get_ints("contenders", {1, 2, 3});
-    spec.cross_mbps = args.get_doubles("cross-mbps", {1.0, 2.0, 4.0});
-    spec.phy_presets =
-        args.get_strings("phy", {"dot11b_short", "dot11b_long"});
-    spec.fifo_cross = {false};
-    if (args.get("fifo", false)) {
-      spec.fifo_cross = {false, true};
-      spec.fifo_cross_mbps = args.get("fifo-mbps", 1.0);
-    }
+  }
+  const std::string topologies = args.get("topologies", "");
+  if (!topologies.empty()) {
+    // Same '|' separator as --scenarios (topology args use ':').
+    spec.topologies = exp::split_scenario_list(topologies);
   }
   spec.train_lengths = args.get_ints("train", {400});
   spec.probe_mbps = args.get_doubles("probe-mbps", {5.0});
@@ -417,10 +395,10 @@ int run(int argc, char** argv) {
   exp::Progress progress(campaign.total_repetitions(), "campaign",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args);
-  // stderr, not stdout: stdout must stay byte-identical across --threads.
-  std::cerr << "# threads: " << runner.threads() << "\n";
   ServeState st;
   init_serve_state(st, args, &progress, obs);
+  // stderr, not stdout: stdout must stay byte-identical across --threads.
+  std::cerr << "# threads: " << runner.threads() << "\n";
   const auto results = exp::run_train_campaign(campaign, tcfg, runner, st.io);
   progress.finish();
   print_serve_stats(st, obs.registry());

@@ -62,6 +62,7 @@ int run(int argc, char** argv) {
 
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 1009));
+  spec.scenarios.clear();
   for (int s : sides) {
     const int stations = s * s;
     spec.scenarios.push_back("topology=grid:" + std::to_string(s) + "x" +

@@ -43,12 +43,14 @@ int run(int argc, char** argv) {
   const int trains = args.get("trains", 3);
   const int pairs = args.get("pairs", 100);
 
+  const std::vector<double> cross_rates = args.get_doubles(
+      "cross-mbps", {0.5, 1.25, 2.0, 2.75, 3.5, 4.25, 5.0});
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 72));
-  spec.contender_counts = {1};
-  spec.cross_mbps = args.get_doubles(
-      "cross-mbps", {0.5, 1.25, 2.0, 2.75, 3.5, 4.25, 5.0});
-  spec.phy_presets = {"dot11b_short"};
+  spec.scenarios.clear();
+  for (double cross : cross_rates) {
+    spec.scenarios.push_back(bench::poisson_scenario(cross));
+  }
   spec.train_lengths = {40};
   spec.probe_mbps = {5.0};
   spec.repetitions = args.get("reps", 1);
@@ -64,14 +66,14 @@ int run(int argc, char** argv) {
   };
   const exp::Campaign campaign(spec);
 
-  const mac::PhyParams phy = exp::phy_preset(spec.phy_presets.front());
-  const double capacity = phy.saturation_rate(1500).to_mbps();
+  const double capacity =
+      mac::PhyParams::dot11b_short().saturation_rate(1500).to_mbps();
 
   if (!json) {
     bench::announce(
         "Extension (Sec 7.2)",
         "available-bandwidth tools follow B, not A, on CSMA/CA links",
-        std::to_string(spec.cross_mbps.size()) + " cross rates x " +
+        std::to_string(cross_rates.size()) + " cross rates x " +
             std::to_string(spec.methods.size()) + " methods x " +
             std::to_string(spec.repetitions) + " repetitions, one campaign");
   }
@@ -112,13 +114,13 @@ int run(int argc, char** argv) {
   // expand cross-major with the method axis innermost).
   const int n_methods = static_cast<int>(spec.methods.size());
   CSMABW_REQUIRE(campaign.size() ==
-                     static_cast<int>(spec.cross_mbps.size()) * n_methods,
+                     static_cast<int>(cross_rates.size()) * n_methods,
                  "unexpected campaign shape");
   util::Table table({"cross_mbps", "avail_A_mbps", "achievable_B_mbps",
                      "train_sweep_mbps", "bisection_mbps", "slops_owd_mbps",
                      "packet_pair_mbps"});
-  for (std::size_t c = 0; c < spec.cross_mbps.size(); ++c) {
-    const double cross = spec.cross_mbps[c];
+  for (std::size_t c = 0; c < cross_rates.size(); ++c) {
+    const double cross = cross_rates[c];
     std::vector<double> row{cross, capacity - cross};
     for (int m = 0; m < n_methods; ++m) {
       row.push_back(

@@ -25,8 +25,7 @@ int run(int argc, char** argv) {
 
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 8));
-  spec.contender_counts = {1};
-  spec.cross_mbps = {args.get("cross-mbps", 2.0)};
+  spec.scenarios = {bench::poisson_scenario(args.get("cross-mbps", 2.0))};
   spec.train_lengths = {train};
   spec.probe_mbps = {args.get("probe-mbps", 8.0)};
   spec.repetitions = reps;

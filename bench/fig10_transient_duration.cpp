@@ -37,10 +37,10 @@ int run(int argc, char** argv) {
 
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 10));
-  spec.contender_counts = {1};
-  spec.cross_mbps.clear();
+  spec.scenarios.clear();
   for (double load : loads) {
-    spec.cross_mbps.push_back(phy.rate_for_load(load, 1500).to_mbps());
+    spec.scenarios.push_back(
+        bench::poisson_scenario(phy.rate_for_load(load, 1500).to_mbps()));
   }
   spec.train_lengths = {train};
   spec.probe_mbps = {phy.rate_for_load(probe_load, 1500).to_mbps()};

@@ -59,7 +59,11 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
       sim.schedule_at(TimeNs::ns(i * 997 % 100000), [] {});
     }
     sim.run();
-    benchmark::DoNotOptimize(sim.events_processed());
+    if (sim.events_processed() != static_cast<std::uint64_t>(n)) {
+      state.SkipWithError("processed a different number of events than "
+                          "were scheduled");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -78,7 +82,11 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
       prev = sim.schedule_at(TimeNs::ns(100000 + i * 997 % 100000), [] {});
     }
     sim.run();
-    benchmark::DoNotOptimize(sim.events_processed());
+    // Every schedule but the last was cancelled.
+    if (sim.events_processed() != 1) {
+      state.SkipWithError("processed other than the one uncancelled event");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -264,7 +272,12 @@ void BM_ProbeTrainRepetition(benchmark::State& state) {
   spec.gap = BitRate::mbps(5.0).gap_for(1500);
   std::uint64_t rep = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sc.run_train(spec, rep++));
+    const core::TrainRun run = sc.run_train(spec, rep++);
+    if (run.packets.size() != static_cast<std::size_t>(spec.n)) {
+      state.SkipWithError("the train recorded a different number of "
+                          "packets than it sent");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * spec.n);
 }
@@ -274,8 +287,8 @@ void BM_CampaignEngine(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   exp::SweepSpec spec;
   spec.campaign_seed = 11;
-  spec.contender_counts = {1, 2};
-  spec.cross_mbps = {2.0};
+  spec.scenarios = {"contenders=poisson:rate=2M",
+                    "contenders=2x poisson:rate=2M"};
   spec.train_lengths = {60};
   spec.probe_mbps = {5.0};
   spec.repetitions = 32;
@@ -380,6 +393,10 @@ void BM_MetricsCounterHot(benchmark::State& state) {
     counter.add(1);
     benchmark::DoNotOptimize(counter);
   }
+  if (enabled && registry.value("bench.counter.hot") != state.iterations()) {
+    state.SkipWithError("the counter's merged value differs from the "
+                        "iterations");
+  }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsCounterHot)->Arg(0)->Arg(1);
@@ -399,6 +416,12 @@ void BM_ScopedSpan(benchmark::State& state) {
     obs::ScopedSpan span(tap, "bench.span");
     span.arg("i", 1);
     benchmark::DoNotOptimize(span);
+  }
+  if (enabled && static_cast<benchmark::IterationCount>(
+                     profiler.recorded() + profiler.dropped()) !=
+                     state.iterations()) {
+    state.SkipWithError("recorded + dropped spans differ from the "
+                        "iterations");
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -503,6 +526,12 @@ void BM_TraceScanMmap(benchmark::State& state) {
       write_bench_trace("csmabw-bench-scan.cctrace", n);
   const auto bytes =
       static_cast<std::int64_t>(std::filesystem::file_size(path));
+  // Each event adds station + 1 >= 1, so a lost or repeated event
+  // changes the sum.
+  std::uint64_t written = 0;
+  for (const trace::TraceEvent& e : synthetic_events(n)) {
+    written += static_cast<std::uint64_t>(e.station) + 1;
+  }
   for (auto _ : state) {
     const trace::MappedTrace mapped(path.string());
     std::uint64_t decoded = 0;
@@ -511,7 +540,10 @@ void BM_TraceScanMmap(benchmark::State& state) {
         decoded += static_cast<std::uint64_t>(e.station) + 1;
       });
     }
-    benchmark::DoNotOptimize(decoded);
+    if (decoded != written) {
+      state.SkipWithError("decoded events differ from the n written");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * bytes);
@@ -587,7 +619,10 @@ void BM_TraceQueryPushdown(benchmark::State& state) {
                              &stats,
                              [&](const trace::TraceEvent&) { ++matched; });
     benchmark::DoNotOptimize(matched);
-    benchmark::DoNotOptimize(stats.pages_skipped);
+    if (stats.pages != mapped.pages().size() || stats.pages_skipped == 0) {
+      state.SkipWithError("the scan missed a page or skipped none");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
   std::filesystem::remove(path);
@@ -635,7 +670,11 @@ void BM_TraceAggHistogram(benchmark::State& state) {
     const trace::query::ScanStats stats = trace::query::run_query(
         files, trace::query::QueryPredicate{}, *agg, runner);
     benchmark::DoNotOptimize(agg->rows().size());
-    benchmark::DoNotOptimize(stats.events_decoded);
+    if (stats.events_decoded != events) {
+      state.SkipWithError("decoded a different number of events than "
+                          "were written");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events));

@@ -546,7 +546,7 @@ TrainRun Scenario::run_train(const traffic::TrainSpec& spec,
 }
 
 SteadyStateResult Scenario::run_steady_state(BitRate probe_rate,
-                                             int probe_size_bytes,
+                                             int probe_bytes,
                                              TimeNs duration,
                                              TimeNs measure_from,
                                              trace::TraceSink* trace) const {
@@ -559,7 +559,7 @@ SteadyStateResult Scenario::run_steady_state(BitRate probe_rate,
   auto& sim = cell.simulator();
 
   traffic::CbrSource probe(sim, cell.probe_station(), kProbeFlow,
-                           probe_size_bytes, probe_rate.gap_for(probe_size_bytes));
+                           probe_bytes, probe_rate.gap_for(probe_bytes));
   probe.start(cfg_.warmup);
 
   traffic::FlowMeter probe_meter(measure_from, duration);

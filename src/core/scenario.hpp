@@ -304,7 +304,7 @@ class Scenario {
   /// Long-run steady state: CBR probe at `probe_rate` from warmup until
   /// `duration`; throughput measured over [measure_from, duration).
   [[nodiscard]] SteadyStateResult run_steady_state(
-      BitRate probe_rate, int probe_size_bytes, TimeNs duration,
+      BitRate probe_rate, int probe_bytes, TimeNs duration,
       TimeNs measure_from, trace::TraceSink* trace = nullptr) const;
 
   /// Cross-traffic only, no probe: per-contender throughput over

@@ -54,8 +54,9 @@ class Collector {
   [[nodiscard]] const util::Table& table() const { return table_; }
 
   /// The standard coordinate prefix for per-cell rows: cell, scenario
-  /// ("-" for cells from the classic per-knob axes), contenders,
-  /// cross_mbps, phy, train_len, probe_mbps, fifo.
+  /// ("-" for hand-built cells without a label), contenders, cross_mbps
+  /// (the contenders' total offered load), phy, train_len, probe_mbps,
+  /// fifo.
   [[nodiscard]] static std::vector<std::string> cell_columns();
   [[nodiscard]] static std::vector<Value> cell_coords(const Cell& cell);
 

@@ -224,8 +224,7 @@ std::vector<MethodRun> run_method_campaign(
                  "the result cache content-addresses the cell's scenario; "
                  "a custom make_transport is invisible to the key — drop "
                  "the cache or the custom transport");
-  const core::MethodRegistry& registry =
-      cfg.registry != nullptr ? *cfg.registry : core::MethodRegistry::global();
+  const core::MethodRegistry& registry = core::MethodRegistry::global();
 
   struct Job {
     int cell_index = 0;

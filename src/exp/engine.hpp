@@ -128,10 +128,9 @@ struct MethodRun {
   bool served = false;
 };
 
-/// How a method campaign builds its tools and transports.
+/// How a method campaign builds its transports (tools come from
+/// core::MethodRegistry::global()).
 struct MethodCampaignConfig {
-  /// Method registry; nullptr means core::MethodRegistry::global().
-  const core::MethodRegistry* registry = nullptr;
   /// Builds the transport one repetition probes.  `seed` is the
   /// repetition's deterministic stream seed (method_rep_seed); the
   /// default builds a fresh core::SimTransport from the cell's scenario
@@ -153,7 +152,7 @@ struct MethodCampaignConfig {
 [[nodiscard]] int count_method_runs(const Campaign& campaign);
 
 /// Runs every cell's method repetitions across the worker pool: each
-/// repetition creates the cell's method from the registry, builds a
+/// repetition creates the cell's method from the global registry, builds a
 /// fresh transport seeded by method_rep_seed, and runs the tool.
 /// Results are returned in (cell, repetition) order regardless of the
 /// thread count.  Every cell must carry a method spec (a `methods` axis

@@ -4,8 +4,11 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 
+#include "util/options.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::exp {
@@ -14,11 +17,13 @@ int resolve_threads(int requested) {
   if (requested > 0) {
     return requested;
   }
-  if (const char* env = std::getenv("CSMABW_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) {
-      return parsed;
-    }
+  if (const char* env = std::getenv("CSMABW_THREADS");
+      env != nullptr && *env != '\0') {
+    const std::optional<int> parsed = util::parse_number<int>(env);
+    CSMABW_REQUIRE(parsed.has_value() && *parsed > 0,
+                   "CSMABW_THREADS expects a positive integer, got '" +
+                       std::string(env) + "'");
+    return *parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -17,7 +17,9 @@ struct RunnerOptions {
 };
 
 /// Resolves a requested thread count: a positive request wins, otherwise
-/// the CSMABW_THREADS environment variable, otherwise
+/// the CSMABW_THREADS environment variable (unset or empty skips it; a
+/// value that is not a whole positive integer throws
+/// util::PreconditionError), otherwise
 /// std::thread::hardware_concurrency() (at least 1).
 [[nodiscard]] int resolve_threads(int requested);
 

@@ -8,63 +8,44 @@
 #include "core/scenario.hpp"
 #include "traffic/probe_train.hpp"
 
-namespace csmabw::core {
-class MethodRegistry;
-}  // namespace csmabw::core
-
 namespace csmabw::exp {
 
-/// Declarative parameter grid over the paper's experimental knobs.
+/// Declarative parameter grid of a campaign.
 ///
 /// Every axis is a list of values; the campaign is the full cartesian
 /// product, expanded in a fixed documented order so that cell indices —
 /// and therefore per-cell seeds and collector output — are stable across
 /// runs, machines and thread counts.
 struct SweepSpec {
-  /// Named scenario axis (outermost): each entry is a registered
-  /// scenario name or an inline grammar string (core::ScenarioSpec /
-  /// core::ScenarioRegistry), so heterogeneous-station and non-Poisson
-  /// cells sweep like any other coordinate.  When non-empty this axis
-  /// REPLACES the contender_counts/cross_mbps/phy_presets/fifo_cross
-  /// axes, which must stay at their defaults.
-  std::vector<std::string> scenarios{};
+  /// Scenario axis (outermost): each entry is a registered scenario name
+  /// or an inline grammar string (core::ScenarioSpec /
+  /// core::ScenarioRegistry) and fixes the cell's PHY, contending
+  /// stations and FIFO cross-traffic.  The paper's cell at another load
+  /// is `contenders=poisson:rate=4M`, N such stations
+  /// `contenders=Nx poisson:rate=4M`, and its Fig 3 variant adds
+  /// `;fifo=poisson:rate=1M`.  The default is the one paper_fig2 cell:
+  /// assign the list, or clear it before appending entries.
+  std::vector<std::string> scenarios{"paper_fig2"};
   /// Conflict-graph topology axis (topo::TopologyRegistry specs such as
-  /// `clique`, `grid:3x3`, `pairs-hidden:2`).  Requires a non-empty
-  /// scenarios axis — each scenario entry is expanded once per topology
-  /// — and every scenario entry must leave its own `topology=` field at
-  /// the default, so the axis is the single source of truth.  Cells on
-  /// this axis are labelled with the full scenario grammar including
-  /// the topology, keeping (scenario, topology) coordinates distinct
-  /// without a new collector column.  Node counts are validated against
-  /// each scenario's station count before any campaign work starts.
+  /// `clique`, `grid:3x3`, `pairs-hidden:2`): each scenario entry is
+  /// expanded once per topology, and every scenario entry must leave its
+  /// own `topology=` field at the default, so the axis is the single
+  /// source of truth.  Cells on this axis are labelled with the full
+  /// scenario grammar including the topology, keeping (scenario,
+  /// topology) coordinates distinct without a new collector column.
+  /// Node counts are validated against each scenario's station count
+  /// before any campaign work starts.
   std::vector<std::string> topologies{};
-  /// Number of contending stations (each carries one Poisson flow).
-  std::vector<int> contender_counts{1};
-  /// Per-contender Poisson rate in Mb/s.
-  std::vector<double> cross_mbps{2.0};
-  /// PHY presets by name; see `phy_preset_names()`.
-  std::vector<std::string> phy_presets{"dot11b_short"};
-  /// Probe-train length in packets.
+  /// Probe-train length in packets (1500-byte packets).
   std::vector<int> train_lengths{600};
   /// Probe input rate in Mb/s (sets the train's input gap g_I).
   std::vector<double> probe_mbps{5.0};
-  /// FIFO cross-traffic on the probing station's own queue (Fig 3).
-  std::vector<bool> fifo_cross{false};
   /// Measurement-method specs ("slops:train_length=50", see
-  /// core::MethodRegistry), making tool-vs-tool comparison a sweep
-  /// dimension.  Empty (the default) means the campaign has no method
-  /// axis — the classic probe-train ensemble of run_train_campaign.
+  /// core::MethodRegistry::global()), making tool-vs-tool comparison a
+  /// sweep dimension.  Empty (the default) means the campaign has no
+  /// method axis — the classic probe-train ensemble of
+  /// run_train_campaign.
   std::vector<std::string> methods{};
-  /// Registry the method specs are validated against (must outlive the
-  /// spec); nullptr means core::MethodRegistry::global().  Point it at
-  /// the same custom registry as MethodCampaignConfig::registry when
-  /// sweeping methods that are not globally registered.
-  const core::MethodRegistry* method_registry = nullptr;
-
-  double fifo_cross_mbps = 1.0;
-  int fifo_cross_size_bytes = 1500;
-  int cross_size_bytes = 1500;
-  int probe_size_bytes = 1500;
 
   /// Independent probing-train repetitions per cell.
   int repetitions = 100;
@@ -86,12 +67,11 @@ struct SweepSpec {
 struct Cell {
   int index = 0;
   /// Scenario-axis label (the spec's name, else its grammar string);
-  /// empty for cells expanded from the classic per-knob axes.
+  /// empty only for hand-built cells without one.
   std::string scenario_name;
   int contenders = 0;
-  /// Per-contender Poisson rate for classic cells; for scenario-axis
-  /// cells the total mean offered load (NaN when a contender is
-  /// saturated, i.e. offers unbounded load).
+  /// Total mean offered load of the contenders in Mb/s (NaN when a
+  /// contender is saturated, i.e. offers unbounded load).
   double cross_mbps = 0.0;
   std::string phy_preset;
   int train_length = 0;
@@ -114,12 +94,10 @@ struct Cell {
 /// bench binaries' streams exactly.
 class Campaign {
  public:
-  /// Expands the grid; order: scenario (outermost, when the scenarios
-  /// axis is non-empty) > topology (when the topologies axis is
-  /// non-empty) > phy preset > contenders > cross rate > train
-  /// length > probe rate > fifo > method (innermost; only present when
-  /// the methods axis is non-empty).  With a scenarios axis the
-  /// phy/contenders/cross/fifo loops collapse to the scenario's values.
+  /// Validates and expands the grid; order: scenario (outermost) >
+  /// topology (when the topologies axis is non-empty) > train length >
+  /// probe rate > method (innermost; only present when the methods axis
+  /// is non-empty).
   explicit Campaign(SweepSpec spec);
 
   /// Builds a campaign from explicitly constructed cells (for sweeps
@@ -153,11 +131,6 @@ class Campaign {
   std::vector<Cell> cells_;
   bool custom_cells_ = false;
 };
-
-/// PHY preset resolution lives with the scenario layer now; re-exported
-/// here for the existing exp::phy_preset callers.
-using core::phy_preset;
-using core::phy_preset_names;
 
 /// Splits a '|'-separated scenario list ("paper_fig2|name=het;..." —
 /// scenario grammars use ';' and ',' internally, so the axis separator

@@ -1,33 +1,27 @@
 #include "serve/campaign_io.hpp"
 
-#include <stdexcept>
+#include <optional>
+#include <string_view>
 
+#include "util/options.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::serve {
 
 ShardSel parse_shard(const std::string& text) {
-  const std::size_t slash = text.find('/');
-  CSMABW_REQUIRE(slash != std::string::npos && slash > 0 &&
-                     slash + 1 < text.size(),
-                 "--shard expects I/N (e.g. 0/3), got `" + text + "`");
-  ShardSel sel;
-  try {
-    std::size_t used = 0;
-    sel.index = std::stoi(text.substr(0, slash), &used);
-    CSMABW_REQUIRE(used == slash, "--shard index is not a number");
-    sel.count = std::stoi(text.substr(slash + 1), &used);
-    CSMABW_REQUIRE(used == text.size() - slash - 1,
-                   "--shard count is not a number");
-  } catch (const std::invalid_argument&) {
-    CSMABW_REQUIRE(false, "--shard expects I/N (e.g. 0/3), got `" + text +
-                              "`");
-  } catch (const std::out_of_range&) {
-    CSMABW_REQUIRE(false, "--shard value out of range: `" + text + "`");
+  const std::string_view view = text;
+  const std::size_t slash = view.find('/');
+  std::optional<int> index;
+  std::optional<int> count;
+  if (slash != std::string_view::npos) {
+    index = util::parse_number<int>(view.substr(0, slash));
+    count = util::parse_number<int>(view.substr(slash + 1));
   }
-  CSMABW_REQUIRE(sel.count >= 1 && sel.index >= 0 && sel.index < sel.count,
+  CSMABW_REQUIRE(index.has_value() && count.has_value(),
+                 "--shard expects I/N (e.g. 0/3), got `" + text + "`");
+  CSMABW_REQUIRE(*count >= 1 && *index >= 0 && *index < *count,
                  "--shard needs 0 <= I < N, got `" + text + "`");
-  return sel;
+  return ShardSel{*index, *count};
 }
 
 }  // namespace csmabw::serve

@@ -44,8 +44,8 @@ struct ShardSel {
   }
 };
 
-/// Parses "I/N" with 0 <= I < N; throws util::PreconditionError on
-/// malformed input.
+/// Parses "I/N" with 0 <= I < N, each a whole integer (util::parse_number:
+/// no '+', no spaces); throws util::PreconditionError otherwise.
 [[nodiscard]] ShardSel parse_shard(const std::string& text);
 
 /// Serving configuration of one campaign run.  Everything optional and

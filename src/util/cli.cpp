@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -164,20 +165,23 @@ int run_tool(const char* tool, int (*run)(int, char**), int argc,
 
 double bench_scale() {
   const char* env = std::getenv("CSMABW_BENCH_SCALE");
-  if (env == nullptr) {
+  if (env == nullptr || *env == '\0') {
     return 1.0;
   }
-  try {
-    const double v = std::stod(env);
-    return v > 0.0 ? v : 1.0;
-  } catch (const std::exception&) {
-    return 1.0;
-  }
+  const std::optional<double> scale = parse_number<double>(env);
+  CSMABW_REQUIRE(scale.has_value() && *scale > 0.0,
+                 "CSMABW_BENCH_SCALE expects a finite positive number, got '" +
+                     std::string(env) + "'");
+  return *scale;
 }
 
 int scaled_reps(int base) {
   CSMABW_REQUIRE(base >= 1, "base repetition count must be >= 1");
-  return std::max(1, static_cast<int>(std::llround(base * bench_scale())));
+  const double scaled = std::round(base * bench_scale());
+  CSMABW_REQUIRE(scaled <= std::numeric_limits<int>::max(),
+                 "CSMABW_BENCH_SCALE scales " + std::to_string(base) +
+                     " repetitions past the int range");
+  return std::max(1, static_cast<int>(scaled));
 }
 
 }  // namespace csmabw::util

@@ -62,14 +62,18 @@ class Args {
 int run_tool(const char* tool, int (*run)(int, char**), int argc,
              char** argv);
 
-/// Reads the CSMABW_BENCH_SCALE environment variable (default 1.0).
+/// Reads the CSMABW_BENCH_SCALE environment variable (default 1.0 when
+/// unset or empty).
 ///
 /// Every bench multiplies its ensemble sizes by this factor, so
 /// `CSMABW_BENCH_SCALE=10` approaches the paper's 25k-repetition
-/// ensembles while the default stays laptop-fast.
+/// ensembles while the default stays laptop-fast.  The value parses
+/// whole (util::parse_number); a malformed, non-finite or non-positive
+/// one throws PreconditionError.
 [[nodiscard]] double bench_scale();
 
-/// max(1, round(base * bench_scale())) — convenience for repetition counts.
+/// max(1, round(base * bench_scale())) — convenience for repetition
+/// counts.  Throws PreconditionError when the scaled count overflows int.
 [[nodiscard]] int scaled_reps(int base);
 
 }  // namespace csmabw::util

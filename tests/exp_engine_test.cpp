@@ -16,8 +16,8 @@ namespace {
 SweepSpec small_spec() {
   SweepSpec spec;
   spec.campaign_seed = 21;
-  spec.contender_counts = {1};
-  spec.cross_mbps = {2.0, 4.0};
+  spec.scenarios = {"contenders=poisson:rate=2M",
+                    "contenders=poisson:rate=4M"};
   spec.train_lengths = {40};
   spec.probe_mbps = {5.0};
   spec.repetitions = 24;
@@ -147,7 +147,7 @@ TEST(TrainCampaign, ShardMergeMatchesSerialAccumulation) {
 
 TEST(TrainCampaign, QueueSamplingStatsPerIndex) {
   SweepSpec spec = small_spec();
-  spec.cross_mbps = {4.0};
+  spec.scenarios = {"contenders=poisson:rate=4M"};
   spec.repetitions = 8;
   const Campaign campaign(spec);
   TrainCampaignConfig cfg;
@@ -295,7 +295,7 @@ TEST(EnsembleSeries, SparseExtraRawIndices) {
 
 TEST(TrainCampaign, SparseRawIndicesRetainLateSamples) {
   SweepSpec spec = small_spec();
-  spec.cross_mbps = {2.0};
+  spec.scenarios = {"contenders=poisson:rate=2M"};
   spec.repetitions = 6;
   const Campaign campaign(spec);
   TrainCampaignConfig cfg;

@@ -5,9 +5,12 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/progress.hpp"
+#include "scoped_env.hpp"
+#include "util/require.hpp"
 
 namespace csmabw::exp {
 namespace {
@@ -67,6 +70,26 @@ TEST(Runner, ResolveThreadsPrefersExplicitRequest) {
   EXPECT_EQ(resolve_threads(5), 5);
   EXPECT_GE(resolve_threads(0), 1);
   EXPECT_GE(resolve_threads(-3), 1);
+}
+
+TEST(Runner, ResolveThreadsParsesTheEnvironmentWhole) {
+  {
+    const ScopedEnv env("CSMABW_THREADS", "3");
+    EXPECT_EQ(resolve_threads(0), 3);
+    EXPECT_EQ(resolve_threads(5), 5);  // an explicit request wins
+  }
+  for (const char* bad : {"abc", "4x", "2.5", "0", "-2", " 4", "+4"}) {
+    const ScopedEnv env("CSMABW_THREADS", bad);
+    EXPECT_EQ(resolve_threads(2), 2);  // not consulted
+    try {
+      (void)resolve_threads(0);
+      ADD_FAILURE() << "accepted CSMABW_THREADS=" << bad;
+    } catch (const util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("CSMABW_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Progress, CountsAndFinishIsIdempotent) {

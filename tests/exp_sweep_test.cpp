@@ -5,30 +5,40 @@
 #include <cmath>
 
 #include "util/require.hpp"
+#include "util/units.hpp"
 
 namespace csmabw::exp {
 namespace {
 
 TEST(SweepSpec, GridSizeIsAxisProduct) {
   SweepSpec spec;
-  spec.contender_counts = {1, 2, 3};
-  spec.cross_mbps = {1.0, 2.0};
-  spec.phy_presets = {"dot11b_short", "dot11b_long"};
+  spec.scenarios = {"contenders=poisson:rate=1M",
+                    "contenders=2x poisson:rate=1M",
+                    "phy=dot11b_long;contenders=3x poisson:rate=2M"};
   spec.train_lengths = {100};
   spec.probe_mbps = {4.0, 5.0};
-  spec.fifo_cross = {false, true};
-  EXPECT_EQ(spec.grid_size(), 3 * 2 * 2 * 1 * 2 * 2);
+  spec.methods = {"steady_state", "packet_pair"};
+  EXPECT_EQ(spec.grid_size(), 3 * 1 * 2 * 2);
+  spec.topologies = {"clique", "ring:4"};
+  EXPECT_EQ(spec.grid_size(), 3 * 2 * 1 * 2 * 2);
 }
 
 TEST(SweepSpec, ValidateRejectsEmptyAndBadAxes) {
   SweepSpec spec;
-  spec.cross_mbps.clear();
+  EXPECT_NO_THROW(spec.validate());  // the default paper_fig2 cell
+  spec.scenarios.clear();
   EXPECT_THROW(spec.validate(), util::PreconditionError);
   spec = SweepSpec{};
-  spec.cross_mbps = {-1.0};
+  spec.scenarios = {"no_such_scenario"};
   EXPECT_THROW(spec.validate(), util::PreconditionError);
   spec = SweepSpec{};
-  spec.phy_presets = {"no_such_phy"};
+  spec.scenarios = {"contenders=1x warp:rate=1M"};
+  EXPECT_THROW(spec.validate(), util::PreconditionError);
+  spec = SweepSpec{};
+  spec.scenarios = {"contenders=poisson:rate=-1M"};
+  EXPECT_THROW(spec.validate(), util::PreconditionError);
+  spec = SweepSpec{};
+  spec.scenarios = {"phy=no_such_phy;contenders=poisson:rate=1M"};
   EXPECT_THROW(spec.validate(), util::PreconditionError);
   spec = SweepSpec{};
   spec.repetitions = 0;
@@ -36,28 +46,43 @@ TEST(SweepSpec, ValidateRejectsEmptyAndBadAxes) {
   spec = SweepSpec{};
   spec.train_lengths = {1};
   EXPECT_THROW(spec.validate(), util::PreconditionError);
+  spec = SweepSpec{};
+  spec.train_lengths.clear();
+  EXPECT_THROW(spec.validate(), util::PreconditionError);
+  spec = SweepSpec{};
+  spec.probe_mbps = {0.0};
+  EXPECT_THROW(spec.validate(), util::PreconditionError);
 }
 
 TEST(Campaign, ExpandsFullCartesianProductInDocumentedOrder) {
   SweepSpec spec;
-  spec.contender_counts = {1, 2};
-  spec.cross_mbps = {1.0, 4.0};
-  spec.phy_presets = {"dot11b_short"};
-  spec.train_lengths = {50};
-  spec.probe_mbps = {5.0};
-  spec.fifo_cross = {false, true};
+  spec.scenarios = {"contenders=poisson:rate=1M",
+                    "contenders=2x poisson:rate=4M;fifo=poisson:rate=1M"};
+  spec.train_lengths = {50, 80};
+  spec.probe_mbps = {4.0, 5.0};
   spec.repetitions = 7;
   const Campaign campaign(spec);
 
   ASSERT_EQ(campaign.size(), 8);
   EXPECT_EQ(campaign.total_repetitions(), 8 * 7);
-  // phy > contenders > cross > train > probe > fifo, fifo innermost.
+  // scenario > train > probe, probe innermost.
+  // Inline entries are labelled with their canonical grammar.
+  EXPECT_EQ(campaign.cells()[0].scenario_name,
+            "phy=dot11b_short;contenders=poisson:rate=1M");
+  EXPECT_EQ(campaign.cells()[4].scenario_name,
+            "phy=dot11b_short;contenders=2x poisson:rate=4M;"
+            "fifo=poisson:rate=1M");
   EXPECT_EQ(campaign.cells()[0].contenders, 1);
   EXPECT_DOUBLE_EQ(campaign.cells()[0].cross_mbps, 1.0);
   EXPECT_FALSE(campaign.cells()[0].fifo);
-  EXPECT_TRUE(campaign.cells()[1].fifo);
-  EXPECT_DOUBLE_EQ(campaign.cells()[2].cross_mbps, 4.0);
+  EXPECT_EQ(campaign.cells()[0].train_length, 50);
+  EXPECT_DOUBLE_EQ(campaign.cells()[0].probe_mbps, 4.0);
+  EXPECT_DOUBLE_EQ(campaign.cells()[1].probe_mbps, 5.0);
+  EXPECT_EQ(campaign.cells()[2].train_length, 80);
   EXPECT_EQ(campaign.cells()[4].contenders, 2);
+  // cross_mbps is the contenders' total offered load.
+  EXPECT_DOUBLE_EQ(campaign.cells()[4].cross_mbps, 8.0);
+  EXPECT_TRUE(campaign.cells()[4].fifo);
   for (int i = 0; i < campaign.size(); ++i) {
     const Cell& cell = campaign.cells()[static_cast<std::size_t>(i)];
     EXPECT_EQ(cell.index, i);
@@ -67,26 +92,35 @@ TEST(Campaign, ExpandsFullCartesianProductInDocumentedOrder) {
     EXPECT_EQ(cell.scenario.contenders.size(),
               static_cast<std::size_t>(cell.contenders));
     EXPECT_EQ(cell.scenario.fifo_cross.has_value(), cell.fifo);
-    EXPECT_EQ(cell.train.n, 50);
+    EXPECT_EQ(cell.train.n, cell.train_length);
+    EXPECT_EQ(cell.train.size_bytes, 1500);
+    EXPECT_EQ(cell.train.gap, BitRate::mbps(cell.probe_mbps).gap_for(1500));
   }
 }
 
-TEST(Campaign, CellScenarioReflectsCoordinates) {
+TEST(Campaign, PoissonEntriesKeepStationSpecPoissonText) {
+  // Benches spell the paper's cell at computed loads (fig10's are
+  // rate_for_load fractions) as scenario entries.  Parsing an entry
+  // must give back the exact station StationSpec::poisson builds, whose
+  // text the cache key hashes.
+  const mac::PhyParams phy = mac::PhyParams::dot11b_short();
   SweepSpec spec;
-  spec.contender_counts = {2};
-  spec.cross_mbps = {3.0};
-  spec.phy_presets = {"dot11g"};
-  spec.fifo_cross = {true};
-  spec.fifo_cross_mbps = 1.5;
+  spec.scenarios.clear();
+  std::vector<core::StationSpec> stations;
+  for (double load = 0.05; load <= 1.0 + 1e-9; load += 0.05) {
+    core::ScenarioSpec scenario;
+    scenario.contenders.push_back(core::StationSpec::poisson(
+        BitRate::mbps(phy.rate_for_load(load, 1500).to_mbps())));
+    spec.scenarios.push_back(scenario.describe());
+    stations.push_back(scenario.contenders.front());
+  }
   const Campaign campaign(spec);
-  ASSERT_EQ(campaign.size(), 1);
-  const Cell& cell = campaign.cells()[0];
-  EXPECT_EQ(cell.scenario.contenders[0].traffic, "poisson:rate=3M");
-  EXPECT_EQ(cell.scenario.contenders[1].traffic, "poisson:rate=3M");
-  ASSERT_TRUE(cell.scenario.fifo_cross.has_value());
-  EXPECT_EQ(cell.scenario.fifo_cross->traffic, "poisson:rate=1.5M");
-  // dot11g slot time distinguishes the preset.
-  EXPECT_EQ(cell.scenario.phy.slot_time, mac::PhyParams::dot11g().slot_time);
+  ASSERT_EQ(campaign.cells().size(), stations.size());
+  for (std::size_t i = 0; i < stations.size(); ++i) {
+    EXPECT_EQ(campaign.cells()[i].scenario.contenders,
+              std::vector<core::StationSpec>{stations[i]})
+        << spec.scenarios[i];
+  }
 }
 
 TEST(Campaign, SingleCellCampaignPreservesCampaignSeed) {
@@ -95,6 +129,8 @@ TEST(Campaign, SingleCellCampaignPreservesCampaignSeed) {
   SweepSpec spec;
   spec.campaign_seed = 42;
   const Campaign campaign(spec);
+  ASSERT_EQ(campaign.size(), 1);
+  EXPECT_EQ(campaign.cells()[0].scenario_name, "paper_fig2");
   EXPECT_EQ(campaign.cells()[0].scenario.seed, 42u);
 }
 
@@ -116,10 +152,10 @@ TEST(Campaign, CustomCellListIsReindexedAndSeeded) {
 }
 
 TEST(PhyPreset, ResolvesAllNamesAndRejectsUnknown) {
-  for (const auto& name : phy_preset_names()) {
-    EXPECT_NO_THROW((void)phy_preset(name));
+  for (const auto& name : core::phy_preset_names()) {
+    EXPECT_NO_THROW((void)core::phy_preset(name));
   }
-  EXPECT_THROW((void)phy_preset("dot11n"), util::PreconditionError);
+  EXPECT_THROW((void)core::phy_preset("dot11n"), util::PreconditionError);
 }
 
 TEST(Campaign, ScenarioAxisIsOutermost) {
@@ -142,7 +178,7 @@ TEST(Campaign, ScenarioAxisIsOutermost) {
   EXPECT_EQ(campaign.cells()[1].train_length, 80);
   EXPECT_EQ(campaign.cells()[2].scenario_name, "het");
 
-  // Coordinates reflect the scenario, not the (unused) classic axes.
+  // Coordinates reflect the scenario entry.
   const Cell& fig2 = campaign.cells()[0];
   EXPECT_EQ(fig2.contenders, 1);
   EXPECT_DOUBLE_EQ(fig2.cross_mbps, 2.0);
@@ -205,10 +241,13 @@ TEST(Campaign, TopologyAxisMultipliesScenarios) {
 }
 
 TEST(SweepSpec, TopologyAxisValidatesEagerly) {
-  // Needs a scenarios axis: station counts come from the scenario.
+  // Station counts come from the scenario: the default two-station
+  // paper_fig2 cell does not fit a 9-node grid.
   SweepSpec spec;
   spec.topologies = {"grid:3x3"};
   EXPECT_THROW(spec.validate(), util::PreconditionError);
+  spec.topologies = {"pairs-hidden:2"};
+  EXPECT_NO_THROW(spec.validate());
   // Node-count mismatch fails at validate, not mid-campaign.
   spec = SweepSpec{};
   spec.scenarios = {"contenders=2x poisson:rate=2M"};
@@ -227,28 +266,6 @@ TEST(SweepSpec, TopologyAxisValidatesEagerly) {
   // ...but is fine without the axis.
   spec.topologies.clear();
   spec.validate();
-}
-
-TEST(SweepSpec, ScenarioAxisRejectsClassicAxisMix) {
-  SweepSpec spec;
-  spec.scenarios = {"paper_fig2"};
-  spec.contender_counts = {1, 2};  // conflicts with the scenario axis
-  EXPECT_THROW(spec.validate(), util::PreconditionError);
-  spec = SweepSpec{};
-  spec.scenarios = {"no_such_scenario"};
-  EXPECT_THROW(spec.validate(), util::PreconditionError);
-  spec = SweepSpec{};
-  spec.scenarios = {"contenders=1x warp:rate=1M"};
-  EXPECT_THROW(spec.validate(), util::PreconditionError);
-  // The scalar cross/fifo knobs are part of the replaced axes too.
-  spec = SweepSpec{};
-  spec.scenarios = {"paper_fig3"};
-  spec.fifo_cross_mbps = 4.0;
-  EXPECT_THROW(spec.validate(), util::PreconditionError);
-  spec = SweepSpec{};
-  spec.scenarios = {"paper_fig2"};
-  spec.cross_size_bytes = 500;
-  EXPECT_THROW(spec.validate(), util::PreconditionError);
 }
 
 TEST(SplitScenarioList, SplitsOnBarsAndTrims) {

@@ -31,9 +31,8 @@ std::unique_ptr<core::ProbeTransport> queueing_transport(
 SweepSpec method_spec() {
   SweepSpec spec;
   spec.campaign_seed = 11;
-  spec.contender_counts = {1};
-  spec.cross_mbps = {2.0, 4.0};
-  spec.phy_presets = {"dot11b_short"};
+  spec.scenarios = {"contenders=poisson:rate=2M",
+                    "contenders=poisson:rate=4M"};
   spec.train_lengths = {60};
   spec.probe_mbps = {5.0};
   spec.methods = {"packet_pair:pairs=8",
@@ -57,21 +56,22 @@ TEST(SweepSpecMethods, MethodsAxisMultipliesGridAndExpandsInnermost) {
   EXPECT_DOUBLE_EQ(campaign.cells()[2].cross_mbps, 4.0);
 }
 
-TEST(SweepSpecMethods, ValidatesAgainstACustomRegistry) {
-  core::MethodRegistry registry;
-  registry.add("mytool", [](const util::Options&) {
-    return std::make_unique<core::PacketPairMethod>(
-        core::PacketPairMethodOptions{});
-  });
+TEST(SweepSpecMethods, ValidatesGloballyRegisteredCustomMethod) {
+  // Custom tools register in the global registry at startup; from then
+  // on a sweep names them like any builtin.
   SweepSpec spec = method_spec();
-  spec.methods = {"mytool"};
-  // Unknown globally, known to the custom registry.
-  EXPECT_THROW(spec.validate(), util::PreconditionError);
-  spec.method_registry = &registry;
+  spec.methods = {"test_custom_tool"};
+  core::MethodRegistry& registry = core::MethodRegistry::global();
+  if (!registry.contains("test_custom_tool")) {  // first run in-process
+    EXPECT_THROW(spec.validate(), util::PreconditionError);
+    registry.add("test_custom_tool", [](const util::Options&) {
+      return std::make_unique<core::PacketPairMethod>(
+          core::PacketPairMethodOptions{});
+    });
+  }
   EXPECT_NO_THROW(spec.validate());
   const Campaign campaign(spec);
   MethodCampaignConfig cfg;
-  cfg.registry = &registry;
   cfg.make_transport = queueing_transport;
   const std::vector<MethodRun> runs = run_method_campaign(
       campaign, cfg, Runner(RunnerOptions{.threads = 1, .progress = nullptr}));
@@ -198,7 +198,7 @@ TEST(MethodCampaign, DefaultTransportIsSimulatedScenario) {
   // Without a custom factory the campaign probes the cell's WLAN
   // scenario; keep it tiny (one pair) to stay fast.
   SweepSpec spec = method_spec();
-  spec.cross_mbps = {2.0};
+  spec.scenarios = {"contenders=poisson:rate=2M"};
   spec.methods = {"packet_pair:pairs=2"};
   spec.repetitions = 2;
   const Campaign campaign(spec);

@@ -29,8 +29,8 @@ fs::path fresh_dir(const std::string& name) {
 exp::Campaign small_campaign(std::uint64_t seed = 21) {
   exp::SweepSpec spec;
   spec.campaign_seed = seed;
-  spec.contender_counts = {1};
-  spec.cross_mbps = {2.0, 4.0};
+  spec.scenarios = {"contenders=poisson:rate=2M",
+                    "contenders=poisson:rate=4M"};
   spec.train_lengths = {30};
   spec.probe_mbps = {5.0};
   spec.repetitions = 4;
@@ -168,6 +168,32 @@ TEST(ResultCache, KeyChangesWithEveryAddressedInput) {
   EXPECT_EQ(base.digest, train_rep_key(cell.scenario, cell.train, false, 0,
                                        kEngineVersionSalt)
                              .digest);
+}
+
+TEST(ResultCache, RespelledClassicCellKeepsItsKey) {
+  // Campaigns once also spelled cells through per-knob axes (contender
+  // count, per-contender Poisson rate, PHY preset, FIFO on/off and
+  // rate).  The text below is the key description such a cell had: two
+  // 3 Mb/s contenders on dot11g with 1.5 Mb/s FIFO cross-traffic.  Its
+  // scenario-grammar spelling must keep that key, so caches filled
+  // before the axes went keep serving it.
+  exp::SweepSpec spec;
+  spec.scenarios = {
+      "phy=dot11g;contenders=2x poisson:rate=3M;fifo=poisson:rate=1.5M"};
+  const exp::Campaign campaign(spec);
+  const exp::Cell& cell = campaign.cells()[0];
+  EXPECT_EQ(
+      train_rep_key(cell.scenario, cell.train, false, 0).desc,
+      "salt=csmabw-engine-v2|kind=train|scenario=scenario{slot_ns=9000|"
+      "sifs_ns=10000|phy_header_ns=20000|data_rate_bps=5.4e+07|"
+      "basic_rate_bps=2.4e+07|cw_min=15|cw_max=1023|retry_limit=7|"
+      "mac_header_bytes=28|ack_bytes=14|rts_bytes=20|cts_bytes=14|"
+      "rts_threshold_bytes=-1|immediate_access=1|post_backoff=1|"
+      "use_eifs=1|topology=clique|contenders=2|"
+      "c={poisson:rate=3M/1500}|c={poisson:rate=3M/1500}|"
+      "fifo={poisson:rate=1.5M/1500}|seed=1|warmup_ns=500000000|"
+      "probe_phase_mean_ns=20000000|}|train_n=600|train_size=1500|"
+      "train_gap_ns=2400000|sample_queue=0|rep=0|");
 }
 
 TEST(ResultCache, SaltBumpMissesWarmCache) {

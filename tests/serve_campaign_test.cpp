@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "exp/engine.hpp"
@@ -29,8 +30,8 @@ fs::path fresh_dir(const std::string& name) {
 SweepSpec small_spec() {
   SweepSpec spec;
   spec.campaign_seed = 31;
-  spec.contender_counts = {1};
-  spec.cross_mbps = {2.0, 4.0};
+  spec.scenarios = {"contenders=poisson:rate=2M",
+                    "contenders=poisson:rate=4M"};
   spec.train_lengths = {30};
   spec.probe_mbps = {5.0};
   spec.repetitions = 10;
@@ -220,8 +221,7 @@ TEST(ServeCampaign, IncompleteMergeFailsLoudly) {
 TEST(ServeCampaign, MethodCampaignServesFromCache) {
   SweepSpec spec;
   spec.campaign_seed = 5;
-  spec.contender_counts = {1};
-  spec.cross_mbps = {2.0};
+  spec.scenarios = {"contenders=poisson:rate=2M"};
   spec.train_lengths = {30};
   spec.probe_mbps = {5.0};
   spec.repetitions = 3;
@@ -306,6 +306,19 @@ TEST(ShardSelTest, ParseShardValidates) {
   EXPECT_THROW((void)serve::parse_shard("-1/3"), util::PreconditionError);
   EXPECT_THROW((void)serve::parse_shard("0/0"), util::PreconditionError);
   EXPECT_THROW((void)serve::parse_shard("a/b"), util::PreconditionError);
+}
+
+TEST(ShardSelTest, ParseShardParsesEachNumberWhole) {
+  for (const char* bad : {"+1/3", " 1/3", "1/+3", "1/3 ", "1 /3", "1/3x",
+                          "1.0/3", "1/3/4", "/3", "1/", "99999999999/3"}) {
+    try {
+      (void)serve::parse_shard(bad);
+      ADD_FAILURE() << "accepted `" << bad << "`";
+    } catch (const util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--shard"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

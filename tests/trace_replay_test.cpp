@@ -99,9 +99,7 @@ TEST(TraceReplay, CampaignRecordingReplaysBitIdentically) {
   fs::remove_all(dir);
 
   exp::SweepSpec spec;
-  spec.contender_counts = {1};
-  spec.cross_mbps = {4.0};
-  spec.phy_presets = {"dot11b_short"};
+  spec.scenarios = {"phy=dot11b_short;contenders=poisson:rate=4M"};
   spec.train_lengths = {60};
   spec.probe_mbps = {5.0};
   spec.repetitions = 10;

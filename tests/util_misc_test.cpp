@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
+#include "scoped_env.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/require.hpp"
@@ -182,6 +184,38 @@ TEST(Args, RequireKnownRejectsMisspelledOptions) {
 TEST(BenchScale, ScaledRepsAtLeastOne) {
   EXPECT_GE(scaled_reps(1), 1);
   EXPECT_THROW((void)scaled_reps(0), PreconditionError);
+}
+
+TEST(BenchScale, ParsesTheWholeValue) {
+  {
+    const ScopedEnv env("CSMABW_BENCH_SCALE", "2.5");
+    EXPECT_DOUBLE_EQ(bench_scale(), 2.5);
+    EXPECT_EQ(scaled_reps(10), 25);
+  }
+  {
+    const ScopedEnv env("CSMABW_BENCH_SCALE", "");  // empty means unset
+    EXPECT_DOUBLE_EQ(bench_scale(), 1.0);
+  }
+  for (const char* bad : {"abc", "2x", " 2", "+2", "-3", "0", "inf", "nan"}) {
+    const ScopedEnv env("CSMABW_BENCH_SCALE", bad);
+    try {
+      (void)bench_scale();
+      ADD_FAILURE() << "accepted CSMABW_BENCH_SCALE=" << bad;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("CSMABW_BENCH_SCALE"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(BenchScale, ScaledRepsRejectsIntOverflow) {
+  for (const char* huge : {"1e300", "1e10"}) {
+    const ScopedEnv env("CSMABW_BENCH_SCALE", huge);
+    EXPECT_THROW((void)scaled_reps(2), PreconditionError) << huge;
+  }
+  const ScopedEnv env("CSMABW_BENCH_SCALE", "1e-9");
+  EXPECT_EQ(scaled_reps(5), 1);  // never below one repetition
 }
 
 }  // namespace
