@@ -238,7 +238,7 @@ void print_shard_done(const ServeState& st) {
 
 int run_method_sweep(const exp::Campaign& campaign, const util::Args& args,
                      bool json, std::ostream& out, bench::ObsState& obs) {
-  exp::Progress progress(exp::count_method_runs(campaign), "methods",
+  exp::Progress progress(campaign.total_repetitions(), "methods",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args);
   ServeState st;

@@ -68,7 +68,7 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;  // KS of the first packet vs the steady pool
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg),
+  exp::Progress progress(campaign.total_repetitions(),
                          "grid-transient", bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   std::cerr << "# threads: " << runner.threads() << "\n";

@@ -78,7 +78,7 @@ int run(int argc, char** argv) {
             std::to_string(spec.repetitions) + " repetitions, one campaign");
   }
 
-  exp::Progress progress(exp::count_method_runs(campaign), "tools",
+  exp::Progress progress(campaign.total_repetitions(), "tools",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   // stderr, not stdout: stdout must stay byte-identical across --threads.

@@ -39,7 +39,7 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;  // raw samples not needed here
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "fig06",
+  exp::Progress progress(campaign.total_repetitions(), "fig06",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   const auto cells = exp::run_train_campaign(campaign, tcfg, runner);

@@ -45,7 +45,7 @@ int run(int argc, char** argv) {
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;           // raw samples of packet 1 ...
   tcfg.raw_indices = {late};    // ... plus just the late index
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "fig07",
+  exp::Progress progress(campaign.total_repetitions(), "fig07",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   const auto cells = exp::run_train_campaign(campaign, tcfg, runner);

@@ -41,7 +41,7 @@ int run(int argc, char** argv) {
   tcfg.ks_prefix = show;
   tcfg.sample_contender_queue = true;
   tcfg.queue_prefix = show;
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "fig08",
+  exp::Progress progress(campaign.total_repetitions(), "fig08",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   const auto cells = exp::run_train_campaign(campaign, tcfg, runner);

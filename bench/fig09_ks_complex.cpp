@@ -59,7 +59,7 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = show;
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "fig09",
+  exp::Progress progress(campaign.total_repetitions(), "fig09",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   const auto cells = exp::run_train_campaign(campaign, tcfg, runner);

@@ -49,7 +49,7 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;
-  exp::Progress progress(exp::count_train_shards(campaign, tcfg), "fig10",
+  exp::Progress progress(campaign.total_repetitions(), "fig10",
                          bench::progress_enabled(args));
   const exp::Runner runner = bench::runner_from(args, &progress);
   const auto cells = exp::run_train_campaign(campaign, tcfg, runner);

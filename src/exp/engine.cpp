@@ -1,8 +1,10 @@
 #include "exp/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "serve/cache_key.hpp"
@@ -18,6 +20,37 @@ struct Shard {
   int cell_index = 0;
   int rep_begin = 0;
   int rep_end = 0;
+};
+
+/// One train-campaign job: a repetition of a shard.
+struct RepJob {
+  int shard = 0;
+  int repetition = 0;
+};
+
+/// What a repetition contributes to its shard, held until the shard's
+/// last repetition lands.
+struct LandedRep {
+  serve::TrainRepRecord record;
+  bool cached = false;
+  std::int64_t sim_events = 0;  ///< computed repetitions only
+  std::int64_t wall_ns = 0;     ///< computed and timed repetitions only
+};
+
+/// A shard in flight: its landed repetitions, how many are still to
+/// land, and, once the last has, the folded statistics.
+struct ShardSlot {
+  std::once_flag sized;
+  std::vector<LandedRep> landed;
+  std::atomic<int> pending{0};
+  std::unique_ptr<TrainCellStats> stats;
+};
+
+/// A cell's scenario, built by the first repetition that simulates and
+/// shared read-only by the rest.
+struct CellScenario {
+  std::once_flag once;
+  std::optional<core::Scenario> scenario;
 };
 
 /// The provenance header a recorded (cell, repetition) trace carries.
@@ -45,6 +78,55 @@ std::vector<Shard> make_shards(const Campaign& campaign,
     }
   }
   return shards;
+}
+
+/// The pool's job order over the shards this process runs: windows of
+/// `threads` consecutive shards, each window's repetitions dealt
+/// round-robin across its shards.  A window's shards fill together and
+/// fold near the same time, so about two windows of records
+/// (2 x threads x shard_size) are held at once.
+std::vector<RepJob> make_rep_jobs(const std::vector<Shard>& shards,
+                                  const serve::ShardSel& sel, int threads) {
+  std::vector<int> mine;
+  for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
+    if (sel.selects(s)) {
+      mine.push_back(s);
+    }
+  }
+  const auto window = static_cast<std::size_t>(std::max(threads, 1));
+  std::vector<RepJob> jobs;
+  for (std::size_t w = 0; w < mine.size(); w += window) {
+    const std::size_t end = std::min(w + window, mine.size());
+    for (int offset = 0, dealt = 1; dealt > 0; ++offset) {
+      dealt = 0;
+      for (std::size_t i = w; i < end; ++i) {
+        const Shard& shard = shards[static_cast<std::size_t>(mine[i])];
+        if (shard.rep_begin + offset < shard.rep_end) {
+          jobs.push_back(RepJob{mine[i], shard.rep_begin + offset});
+          ++dealt;
+        }
+      }
+    }
+  }
+  return jobs;
+}
+
+/// Folds a shard's landed repetitions in repetition order.
+std::unique_ptr<TrainCellStats> fold_shard(
+    const std::vector<LandedRep>& landed, int train_length,
+    const TrainCampaignConfig& cfg) {
+  auto stats = std::make_unique<TrainCellStats>(train_length, cfg);
+  for (const LandedRep& rep : landed) {
+    if (rep.cached) {
+      ++stats->obs.cached;
+    } else {
+      ++stats->obs.computed;
+      stats->obs.sim_events += rep.sim_events;
+      stats->obs.wall_ns += rep.wall_ns;
+    }
+    stats->add(rep.record);
+  }
+  return stats;
 }
 
 void validate_serve_options(const serve::CampaignServeOptions& io) {
@@ -211,10 +293,6 @@ std::uint64_t method_rep_seed(std::uint64_t campaign_seed, int cell_index,
       .seed();
 }
 
-int count_method_runs(const Campaign& campaign) {
-  return static_cast<int>(campaign.total_repetitions());
-}
-
 std::vector<MethodRun> run_method_campaign(
     const Campaign& campaign, const MethodCampaignConfig& cfg,
     const Runner& runner, const serve::CampaignServeOptions& io) {
@@ -301,103 +379,105 @@ std::vector<MethodRun> run_method_campaign(
   return runs;
 }
 
-int count_train_shards(const Campaign& campaign,
-                       const TrainCampaignConfig& cfg) {
-  return static_cast<int>(make_shards(campaign, cfg).size());
-}
-
 std::vector<TrainCellStats> run_train_campaign(
     const Campaign& campaign, const TrainCampaignConfig& cfg,
     const Runner& runner, const serve::CampaignServeOptions& io) {
   validate_serve_options(io);
   const EngineObs m = bind_engine_obs(io);
   const std::vector<Shard> shards = make_shards(campaign, cfg);
+  const std::vector<RepJob> jobs = make_rep_jobs(shards, io.shard,
+                                                 runner.threads());
   const std::string& trace_dir = campaign.trace_dir();
   if (!trace_dir.empty()) {
     // Once, before the pool starts: workers only create files inside.
     std::filesystem::create_directories(trace_dir);
   }
 
-  // Each shard accumulates independently; merging in shard order keeps
-  // raw-sample order identical to a serial run and the merged moments
-  // independent of which worker ran which shard.  Repetitions served
-  // from the cache feed the accumulators the exact double bits a live
-  // run would have, so where a record came from never shows in the
-  // output.
-  std::vector<std::unique_ptr<TrainCellStats>> shard_stats(shards.size());
-  runner.for_each(static_cast<int>(shards.size()), [&](int s) {
-    const Shard& shard = shards[static_cast<std::size_t>(s)];
+  // One job per repetition.  Each shard's records are held until its
+  // last repetition lands; the worker that lands it folds them in
+  // repetition order, and the shards merge in shard order below.  So
+  // raw-sample order is a serial run's and the merged moments do not
+  // depend on which worker ran what.  Repetitions served from the cache
+  // carry the exact double bits a live run would have, so where a
+  // record came from never shows in the output.
+  std::vector<ShardSlot> slots(shards.size());
+  for (const RepJob& job : jobs) {
+    ++slots[static_cast<std::size_t>(job.shard)].pending;
+  }
+  // Built once, on first use: a fully served cell never builds one.
+  std::vector<CellScenario> scenarios(campaign.cells().size());
+  runner.for_each(static_cast<int>(jobs.size()), [&](int j) {
+    const RepJob job = jobs[static_cast<std::size_t>(j)];
+    const Shard& shard = shards[static_cast<std::size_t>(job.shard)];
     const Cell& cell =
         campaign.cells()[static_cast<std::size_t>(shard.cell_index)];
-    auto stats = std::make_unique<TrainCellStats>(cell.train.n, cfg);
-    if (!io.shard.selects(s)) {
-      // Another process's slice: contribute an empty accumulator so the
-      // shard-ordered merge below stays uniform.
-      shard_stats[static_cast<std::size_t>(s)] = std::move(stats);
-      return;
+    const int rep = job.repetition;
+    LandedRep landed;
+    serve::CacheKey key;
+    if (io.cache != nullptr) {  // keys are only ever used by the cache
+      key = serve::train_rep_key(cell.scenario, cell.train,
+                                 cfg.sample_contender_queue, rep);
+    }
+    if (std::optional<serve::TrainRepRecord> served =
+            serve_record<serve::TrainRepRecord>(
+                io, m, key, &serve::decode_train_record)) {
+      landed.record = std::move(*served);
+      landed.cached = true;
+    } else {
+      if (io.forbid_compute) {
+        missing_record(cell.index, rep);
+      }
+      obs::ScopedSpan span(io.profiler, "exp.rep");
+      span.arg("cell", cell.index);
+      span.arg("rep", rep);
+      const std::int64_t rep_start = m.timing ? obs::now_ns() : 0;
+      CellScenario& built =
+          scenarios[static_cast<std::size_t>(shard.cell_index)];
+      std::call_once(built.once, [&] {
+        obs::ScopedSpan build(io.profiler, "exp.scenario.build");
+        built.scenario.emplace(cell.scenario);
+      });
+      std::unique_ptr<trace::TraceWriter> writer;
+      if (!trace_dir.empty()) {
+        writer = std::make_unique<trace::TraceWriter>(
+            trace::train_trace_path(trace_dir, cell.index, rep),
+            trace_meta_for(cell, rep));
+      }
+      const core::TrainRun run = built.scenario->run_train(
+          cell.train, static_cast<std::uint64_t>(rep),
+          cfg.sample_contender_queue, writer.get(), io.metrics);
+      if (writer != nullptr) {
+        writer->close();  // surface write errors here, not in ~TraceWriter
+      }
+      landed.record = train_rep_record(run);
+      landed.sim_events = static_cast<std::int64_t>(run.sim_events);
+      m.sim_events.add(landed.sim_events);
+      m.sim_alloc.add(static_cast<std::int64_t>(run.sim_allocations));
+      m.slot_capacity.sample(
+          static_cast<std::int64_t>(run.sim_slot_capacity));
+      m.rep_events.observe(landed.sim_events);
+      span.arg("events", landed.sim_events);
+      if (m.timing) {
+        landed.wall_ns = obs::now_ns() - rep_start;
+        m.rep_wall.observe(landed.wall_ns);
+      }
+      std::vector<unsigned char> payload;
+      serve::encode_train_record(landed.record, payload);
+      persist_record(io, m, key, payload);
     }
 
-    // Built lazily: a fully served shard never constructs the scenario.
-    std::optional<core::Scenario> scenario;
-    for (int rep = shard.rep_begin; rep < shard.rep_end; ++rep) {
-      serve::CacheKey key;
-      if (io.cache != nullptr) {  // keys are only ever used by the cache
-        key = serve::train_rep_key(cell.scenario, cell.train,
-                                   cfg.sample_contender_queue, rep);
-      }
-      serve::TrainRepRecord record;
-      if (std::optional<serve::TrainRepRecord> served =
-              serve_record<serve::TrainRepRecord>(
-                  io, m, key, &serve::decode_train_record)) {
-        record = std::move(*served);
-        ++stats->obs.cached;
-      } else {
-        if (io.forbid_compute) {
-          missing_record(cell.index, rep);
-        }
-        obs::ScopedSpan span(io.profiler, "exp.rep");
-        span.arg("cell", cell.index);
-        span.arg("rep", rep);
-        const std::int64_t rep_start = m.timing ? obs::now_ns() : 0;
-        if (!scenario.has_value()) {
-          obs::ScopedSpan build(io.profiler, "exp.scenario.build");
-          scenario.emplace(cell.scenario);
-        }
-        std::unique_ptr<trace::TraceWriter> writer;
-        if (!trace_dir.empty()) {
-          writer = std::make_unique<trace::TraceWriter>(
-              trace::train_trace_path(trace_dir, cell.index, rep),
-              trace_meta_for(cell, rep));
-        }
-        const core::TrainRun run =
-            scenario->run_train(cell.train, static_cast<std::uint64_t>(rep),
-                                cfg.sample_contender_queue, writer.get(),
-                                io.metrics);
-        if (writer != nullptr) {
-          writer->close();  // surface write errors here, not in ~TraceWriter
-        }
-        record = train_rep_record(run);
-        const auto events = static_cast<std::int64_t>(run.sim_events);
-        m.sim_events.add(events);
-        m.sim_alloc.add(static_cast<std::int64_t>(run.sim_allocations));
-        m.slot_capacity.sample(
-            static_cast<std::int64_t>(run.sim_slot_capacity));
-        m.rep_events.observe(events);
-        span.arg("events", events);
-        ++stats->obs.computed;
-        stats->obs.sim_events += events;
-        if (m.timing) {
-          const std::int64_t wall = obs::now_ns() - rep_start;
-          stats->obs.wall_ns += wall;
-          m.rep_wall.observe(wall);
-        }
-        std::vector<unsigned char> payload;
-        serve::encode_train_record(record, payload);
-        persist_record(io, m, key, payload);
-      }
-      stats->add(record);
+    ShardSlot& slot = slots[static_cast<std::size_t>(job.shard)];
+    std::call_once(slot.sized, [&] {
+      slot.landed.resize(
+          static_cast<std::size_t>(shard.rep_end - shard.rep_begin));
+    });
+    slot.landed[static_cast<std::size_t>(rep - shard.rep_begin)] =
+        std::move(landed);
+    // The decrement orders this record before the last lander's fold.
+    if (--slot.pending == 0) {
+      slot.stats = fold_shard(slot.landed, cell.train.n, cfg);
+      std::vector<LandedRep>().swap(slot.landed);
     }
-    shard_stats[static_cast<std::size_t>(s)] = std::move(stats);
   });
 
   obs::ScopedSpan merge_span(io.profiler, "exp.merge");
@@ -408,8 +488,10 @@ std::vector<TrainCellStats> run_train_campaign(
     merged.back().obs.cell = cell.index;
   }
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    merged[static_cast<std::size_t>(shards[s].cell_index)].merge(
-        *shard_stats[s]);
+    if (slots[s].stats != nullptr) {  // null: another process's shard
+      merged[static_cast<std::size_t>(shards[s].cell_index)].merge(
+          *slots[s].stats);
+    }
   }
   return merged;
 }

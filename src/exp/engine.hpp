@@ -31,8 +31,9 @@ struct TrainCampaignConfig {
   /// per-index stats for the first `queue_prefix` packets.
   bool sample_contender_queue = false;
   int queue_prefix = 0;
-  /// Repetitions per work shard.  The shard decomposition is part of the
-  /// campaign's deterministic contract: results are merged in shard
+  /// Repetitions per shard: the unit that folds results, not the unit of
+  /// scheduling (workers take one repetition at a time).  Each shard's
+  /// repetitions fold in repetition order and shards merge in shard
   /// order, so output is bit-identical for any thread count (and any
   /// shard size, up to floating-point association in merged moments).
   /// Trace replays fold in shards of the default size.
@@ -94,14 +95,26 @@ struct TrainCellStats {
 ///
 /// Repetition r of cell c is always `Scenario(cell.scenario).run_train(
 /// cell.train, r)` — the same calls the legacy serial benches made — so
-/// results depend only on (campaign_seed, cell index, repetition).
+/// results depend only on (campaign_seed, cell index, repetition).  A
+/// cell's Scenario is built once, by its first simulated repetition,
+/// and shared read-only.
+///
+/// Scheduling: every repetition is one runner job (one progress tick).
+/// Shards of cfg.shard_size repetitions are the unit that folds results,
+/// not the unit of scheduling: a shard's records are held until its last
+/// repetition lands, and the worker that lands it folds them in
+/// repetition order.  Jobs walk windows of runner.threads() consecutive
+/// shards, dealing each window's repetitions round-robin across its
+/// shards, so a campaign with fewer shards than workers keeps every
+/// worker busy and at most about 2 x threads x shard_size records are
+/// held at once.
 ///
 /// Serving: before simulating a (cell, repetition), the engine consults
 /// `io.cache` (content-addressed result cache) and only executes the
 /// misses, storing each computed record back as it completes.  With
-/// `io.shard = I/N` only every N-th work shard (the same fixed ordering
-/// the thread runner uses) runs in this process; with
-/// `io.forbid_compute` a cache miss throws instead of simulating.
+/// `io.shard = I/N` only every N-th shard (in campaign order) runs in
+/// this process; with `io.forbid_compute` a cache miss throws instead of
+/// simulating.
 /// Wherever a record comes from, the accumulation arithmetic is
 /// identical — records carry the exact double bits the accumulators
 /// consume — so the merged statistics (and any CSV/JSONL derived from
@@ -109,11 +122,6 @@ struct TrainCellStats {
 [[nodiscard]] std::vector<TrainCellStats> run_train_campaign(
     const Campaign& campaign, const TrainCampaignConfig& cfg,
     const Runner& runner, const serve::CampaignServeOptions& io = {});
-
-/// Counts the work shards `run_train_campaign` will execute (the job
-/// total to hand a Progress reporter).
-[[nodiscard]] int count_train_shards(const Campaign& campaign,
-                                     const TrainCampaignConfig& cfg);
 
 /// One measurement-method repetition's outcome, tagged with the campaign
 /// coordinates it ran at.
@@ -146,10 +154,6 @@ struct MethodCampaignConfig {
 /// (campaign_seed, cell index, repetition) — never on worker scheduling.
 [[nodiscard]] std::uint64_t method_rep_seed(std::uint64_t campaign_seed,
                                             int cell_index, int repetition);
-
-/// The job total of run_method_campaign (one job per repetition) — the
-/// number to hand a Progress reporter.
-[[nodiscard]] int count_method_runs(const Campaign& campaign);
 
 /// Runs every cell's method repetitions across the worker pool: each
 /// repetition creates the cell's method from the global registry, builds a

@@ -32,9 +32,9 @@
 
 namespace csmabw::serve {
 
-/// A `--shard=I/N` work partition: the fixed job ordering of the thread
-/// runner (train work shards, method (cell, rep) jobs) is dealt
-/// round-robin — ordinal o belongs to process o mod N.
+/// A `--shard=I/N` work partition: a fixed campaign ordering (train
+/// campaigns' result shards, method campaigns' (cell, rep) jobs) is
+/// dealt round-robin — ordinal o belongs to process o mod N.
 struct ShardSel {
   int index = 0;
   int count = 1;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -34,31 +36,42 @@ std::vector<TrainCellStats> run_with_threads(const Campaign& campaign,
 
 TEST(TrainCampaign, ThreadCountDoesNotChangeResults) {
   const Campaign campaign(small_spec());
-  TrainCampaignConfig cfg;
-  cfg.ks_prefix = 4;
-  cfg.shard_size = 8;
-  const auto serial = run_with_threads(campaign, cfg, 1);
-  const auto parallel = run_with_threads(campaign, cfg, 4);
+  // Shards of 8 at 4 threads, and the default shards of 64 (one per
+  // cell, fewer than the workers) at 8.
+  for (const auto& [shard_size, threads] :
+       {std::pair{8, 4}, std::pair{64, 8}}) {
+    SCOPED_TRACE("shard_size " + std::to_string(shard_size) + ", threads " +
+                 std::to_string(threads));
+    TrainCampaignConfig cfg;
+    cfg.ks_prefix = 4;
+    cfg.shard_size = shard_size;
+    const auto serial = run_with_threads(campaign, cfg, 1);
+    const auto parallel = run_with_threads(campaign, cfg, threads);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t c = 0; c < serial.size(); ++c) {
-    EXPECT_EQ(serial[c].used, parallel[c].used);
-    EXPECT_EQ(serial[c].dropped, parallel[c].dropped);
-    // Bit-identical: the shard decomposition and merge order are fixed,
-    // only the worker that runs each shard varies.
-    EXPECT_EQ(serial[c].output_gap_s.mean(), parallel[c].output_gap_s.mean());
-    EXPECT_EQ(serial[c].analyzer.steady_mean(),
-              parallel[c].analyzer.steady_mean());
-    for (int i = 0; i < 40; ++i) {
-      EXPECT_EQ(serial[c].analyzer.mean_at(i),
-                parallel[c].analyzer.mean_at(i));
-    }
-    for (int i = 0; i < cfg.ks_prefix; ++i) {
-      const auto a = serial[c].analyzer.sample_at(i);
-      const auto b = parallel[c].analyzer.sample_at(i);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) {
-        EXPECT_EQ(a[k], b[k]);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t c = 0; c < serial.size(); ++c) {
+      EXPECT_EQ(serial[c].used, parallel[c].used);
+      EXPECT_EQ(serial[c].dropped, parallel[c].dropped);
+      EXPECT_EQ(serial[c].obs.computed, parallel[c].obs.computed);
+      // Bit-identical: the shard decomposition, the fold order inside a
+      // shard and the merge order are fixed; only the worker that runs
+      // each repetition varies.
+      EXPECT_EQ(serial[c].output_gap_s.mean(),
+                parallel[c].output_gap_s.mean());
+      EXPECT_EQ(serial[c].analyzer.steady_mean(),
+                parallel[c].analyzer.steady_mean());
+      for (int i = 0; i < 40; ++i) {
+        EXPECT_EQ(serial[c].analyzer.mean_at(i),
+                  parallel[c].analyzer.mean_at(i));
+      }
+      for (int i = 0; i < cfg.ks_prefix; ++i) {
+        EXPECT_EQ(serial[c].analyzer.ks_at(i), parallel[c].analyzer.ks_at(i));
+        const auto a = serial[c].analyzer.sample_at(i);
+        const auto b = parallel[c].analyzer.sample_at(i);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t k = 0; k < a.size(); ++k) {
+          EXPECT_EQ(a[k], b[k]);
+        }
       }
     }
   }
@@ -160,13 +173,14 @@ TEST(TrainCampaign, QueueSamplingStatsPerIndex) {
   EXPECT_EQ(results[0].queue_at_arrival[0].count(), results[0].used);
 }
 
-TEST(TrainCampaign, CountTrainShardsCoversAllRepetitions) {
-  const Campaign campaign(small_spec());  // 2 cells x 24 reps
-  TrainCampaignConfig cfg;
-  cfg.shard_size = 7;
-  EXPECT_EQ(count_train_shards(campaign, cfg), 2 * 4);
-  cfg.shard_size = 64;
-  EXPECT_EQ(count_train_shards(campaign, cfg), 2);
+TEST(TrainCampaign, RunnerProgressTicksOncePerRepetition) {
+  const Campaign campaign(small_spec());  // 2 cells x 24 reps, 2 shards
+  Progress progress(campaign.total_repetitions(), "test", /*enabled=*/false);
+  RunnerOptions opts;
+  opts.threads = 4;
+  opts.progress = &progress;
+  (void)run_train_campaign(campaign, TrainCampaignConfig{}, Runner(opts));
+  EXPECT_EQ(progress.done(), campaign.total_repetitions());
 }
 
 TEST(TrainCellStats, AddCountsADroppedRecord) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,7 +76,8 @@ TEST(SweepSpecMethods, ValidatesGloballyRegisteredCustomMethod) {
   cfg.make_transport = queueing_transport;
   const std::vector<MethodRun> runs = run_method_campaign(
       campaign, cfg, Runner(RunnerOptions{.threads = 1, .progress = nullptr}));
-  ASSERT_EQ(static_cast<int>(runs.size()), count_method_runs(campaign));
+  ASSERT_EQ(static_cast<std::int64_t>(runs.size()),
+            campaign.total_repetitions());
   EXPECT_EQ(runs[0].report.method, "packet_pair");
 }
 
@@ -127,7 +129,8 @@ TEST(MethodCampaign, ResultsAreOrderedAndComplete) {
   cfg.make_transport = queueing_transport;
   const std::vector<MethodRun> runs =
       run_method_campaign(campaign, cfg, runner);
-  ASSERT_EQ(static_cast<int>(runs.size()), count_method_runs(campaign));
+  ASSERT_EQ(static_cast<std::int64_t>(runs.size()),
+            campaign.total_repetitions());
   int k = 0;
   for (const Cell& cell : campaign.cells()) {
     for (int rep = 0; rep < cell.repetitions; ++rep, ++k) {

@@ -155,11 +155,16 @@ TEST(LazyMt64, MatchesStdMt19937_64OverThreeBlocks) {
   }
 }
 
+// A stream stays small: the Rng is built twice per station every
+// lattice repetition.
+static_assert(sizeof(Rng) <= 64);
+
 TEST(LazyMt64, StoppedStreamsContinueAcrossChunkAndBlockBoundaries) {
-  // Stops before any draw, mid-block, and on both sides of a chunk edge
-  // (16), of the first twisted word that reads another twisted word
-  // (156) and of the block edge (312).  A copy of the stopped stream
-  // draws the rest.
+  // Stops before any draw, among the streamed first outputs, on both
+  // sides of the first output that needs the heap block (156) and of
+  // the block edge (312).  A copy of the stopped stream draws the rest;
+  // past 156 the copy owns its own block, and the original, drawing
+  // after it, must still match.
   for (const int stop : {0, 15, 16, 17, 100, 155, 156, 157, 311, 312, 313}) {
     for (const std::uint64_t seed : kSeeds) {
       LazyMt64 lazy(seed);
@@ -167,10 +172,15 @@ TEST(LazyMt64, StoppedStreamsContinueAcrossChunkAndBlockBoundaries) {
       for (int i = 0; i < stop; ++i) {
         ASSERT_EQ(lazy(), ref()) << "seed " << seed << " draw " << i;
       }
+      std::mt19937_64 ref_again = ref;
       LazyMt64 resumed = lazy;
       for (int i = stop; i < stop + 400; ++i) {
         ASSERT_EQ(resumed(), ref())
             << "seed " << seed << " stopped at " << stop << ", draw " << i;
+      }
+      for (int i = stop; i < stop + 400; ++i) {
+        ASSERT_EQ(lazy(), ref_again())
+            << "seed " << seed << " original after the copy, draw " << i;
       }
     }
   }

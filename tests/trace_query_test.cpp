@@ -468,7 +468,7 @@ TEST(TraceQuery, DelayAggregationMatchesLiveCampaignBitIdentically) {
   const exp::Campaign campaign(spec);
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;
-  ASSERT_EQ(exp::count_train_shards(campaign, tcfg), 2);
+  ASSERT_GT(spec.repetitions, tcfg.shard_size);
   const std::vector<exp::TrainCellStats> live = exp::run_train_campaign(
       campaign, tcfg, exp::Runner(exp::RunnerOptions{}));
 
