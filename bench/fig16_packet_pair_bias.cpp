@@ -64,9 +64,11 @@ int run(int argc, char** argv) {
                                              TimeNs::sec(9), TimeNs::sec(1));
         // Packet-pair inference.
         core::SimTransport transport(cell.scenario);
-        core::PacketPairMethod pairs_method(
-            {.size_bytes = 1500, .pairs = cell.repetitions});
-        const core::MeasurementReport pp = pairs_method.run(transport, 0);
+        const core::MeasurementReport pp =
+            core::MethodRegistry::global()
+                .create("packet_pair:pairs=" +
+                        std::to_string(cell.repetitions))
+                ->run(transport, 0);
         return PointResult{cell.cross_mbps, sat.probe.to_mbps(),
                            pp.estimate_bps / 1e6};
       });

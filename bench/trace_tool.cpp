@@ -85,6 +85,7 @@ std::string required(const util::Args& args, const char* name) {
 // ------------------------------------------------------------------ info
 
 int cmd_info(const util::Args& args) {
+  args.require_known({"in"});
   const std::string path = required(args, "in");
   const trace::MappedTrace trace(path);
   const trace::TraceMeta& meta = trace.meta();
@@ -154,6 +155,9 @@ std::vector<trace::TraceFile> query_files(const util::Args& args) {
 }
 
 int cmd_query(const util::Args& args) {
+  args.require_known({"dir", "in", "agg", "where", "threads", "csv", "jsonl",
+                      "no-pushdown", "pages-per-unit", "stats",
+                      "metrics-out", "prof", "obs"});
   const std::vector<trace::TraceFile> files = query_files(args);
   const trace::query::QueryPredicate pred =
       trace::query::QueryPredicate::parse(args.get("where", ""));
@@ -235,6 +239,8 @@ int cmd_query(const util::Args& args) {
 // ---------------------------------------------------------------- filter
 
 int cmd_filter(const util::Args& args) {
+  args.require_known({"in", "out", "station", "flow", "kinds", "where",
+                      "no-pushdown"});
   const std::string in_path = required(args, "in");
   const std::string out_path = required(args, "out");
 

@@ -27,8 +27,11 @@ int run(int argc, char** argv) {
 
   util::Table table({"link", "pair_estimate_mbps", "note"});
   const auto pair_estimate_mbps = [](core::ProbeTransport& link, int n) {
-    core::PacketPairMethod method({.size_bytes = 1500, .pairs = n});
-    return method.run(link, /*seed=*/0).estimate_bps / 1e6;
+    return core::MethodRegistry::global()
+               .create("packet_pair:pairs=" + std::to_string(n))
+               ->run(link, /*seed=*/0)
+               .estimate_bps /
+           1e6;
   };
 
   // 1. Uncontended WLAN: the pair dispersion equals one service cycle.

@@ -3,17 +3,20 @@
 //
 //   $ ./wlan_bandwidth_scan --cross-mbps 4.5 --fifo-mbps 1.0
 //        [--train 20] [--trains-per-rate 20] [--mser true]
+//        [--min-mbps 0.5] [--max-mbps 10] [--grid 20]
 //
-// Sweeps probing rates over a configurable simulated WLAN cell, prints
-// the measured rate response curve, and fits the achievable throughput.
-// This is the workload the paper's Figs 13/15/17 study: short trains
-// without correction overestimate B; --mser true tightens the estimate.
+// Sweeps `--grid` evenly spaced probing rates over a configurable
+// simulated WLAN cell with the `train_sweep` tool, prints the measured
+// rate response curve, and fits the achievable throughput.  This is the
+// workload the paper's Figs 13/15/17 study: short trains without
+// correction overestimate B; --mser true tightens the estimate.
 #include <iostream>
-#include <vector>
+#include <string>
 
-#include "core/estimator.hpp"
+#include "core/method.hpp"
 #include "core/scenario.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 using namespace csmabw;
@@ -24,7 +27,7 @@ int run(int argc, char** argv) {
   const util::Args args(argc, argv);
   args.require_known({"seed", "cross-mbps", "fifo-mbps", "train",
                       "trains-per-rate", "mser", "min-mbps", "max-mbps",
-                      "step-mbps"});
+                      "grid"});
 
   core::ScenarioConfig cell;
   cell.seed = static_cast<std::uint64_t>(args.get("seed", 1));
@@ -35,25 +38,23 @@ int run(int argc, char** argv) {
     cell.fifo_cross = core::StationSpec::poisson(BitRate::mbps(fifo), 1500);
   }
 
+  const int train = args.get("train", 20);
+  const int grid = args.get("grid", 20);
+  const bool mser = args.get("mser", false);
+  const std::string spec =
+      "train_sweep:train_length=" + std::to_string(train) +
+      ",trains_per_rate=" + std::to_string(args.get("trains-per-rate", 20)) +
+      ",mser=" + (mser ? "1" : "0") +
+      ",min_rate_mbps=" + util::json_number(args.get("min-mbps", 0.5)) +
+      ",max_rate_mbps=" + util::json_number(args.get("max-mbps", 10.0)) +
+      ",grid=" + std::to_string(grid);
+  const auto tool = core::MethodRegistry::global().create(spec);
+
+  std::cout << "scanning " << grid << " rates with trains of " << train
+            << " packets" << (mser ? " (MSER-2 corrected)" : "") << "...\n";
+
   core::SimTransport link(cell);
-  core::EstimatorOptions opt;
-  opt.train_length = args.get("train", 20);
-  opt.trains_per_rate = args.get("trains-per-rate", 20);
-  opt.mser_correction = args.get("mser", false);
-  core::BandwidthEstimator tool(link, opt);
-
-  std::vector<double> rates;
-  for (double r = args.get("min-mbps", 0.5);
-       r <= args.get("max-mbps", 10.0) + 1e-9;
-       r += args.get("step-mbps", 0.5)) {
-    rates.push_back(r * 1e6);
-  }
-
-  std::cout << "scanning " << rates.size() << " rates with trains of "
-            << opt.train_length << " packets"
-            << (opt.mser_correction ? " (MSER-2 corrected)" : "") << "...\n";
-
-  const core::SweepResult sweep = tool.sweep(rates);
+  const core::MeasurementReport sweep = tool->run(link, /*seed=*/0);
 
   util::Table table({"input_mbps", "output_mbps", "ratio"});
   for (const auto& p : sweep.curve.points) {
@@ -63,7 +64,7 @@ int run(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\nfitted achievable throughput B = "
-            << util::Table::format(sweep.fitted_achievable_bps / 1e6, 3)
+            << util::Table::format(sweep.estimate_bps / 1e6, 3)
             << " Mb/s (" << sweep.trains_lost << " trains lost)\n";
   std::cout << "link capacity C = "
             << util::Table::format(

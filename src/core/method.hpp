@@ -1,16 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/estimator.hpp"
-#include "core/owd_trend.hpp"
 #include "core/rate_response.hpp"
 #include "core/transport.hpp"
 #include "util/options.hpp"
@@ -57,6 +53,10 @@ struct MeasurementReport {
 /// stream, seed) — `seed` covers any method-internal randomness, so two
 /// runs with identically seeded transports and equal seeds produce
 /// identical reports regardless of threading or scheduling.
+///
+/// A tool is made only from a spec string through MethodRegistry
+/// (`MethodRegistry::global().create("bisection:train_length=40")`);
+/// the built-in tools are private to method.cpp.
 class MeasurementMethod {
  public:
   virtual ~MeasurementMethod() = default;
@@ -66,119 +66,6 @@ class MeasurementMethod {
 
   [[nodiscard]] virtual MeasurementReport run(ProbeTransport& transport,
                                               std::uint64_t seed) = 0;
-};
-
-/// Fixed-grid dispersion sweep: probes `grid_points` rates between the
-/// configured bounds and fits the achievable throughput to the measured
-/// rate response curve (registry key "train_sweep").
-class TrainSweepMethod : public MeasurementMethod {
- public:
-  TrainSweepMethod(EstimatorOptions options, int grid_points);
-
-  [[nodiscard]] std::string_view name() const override {
-    return "train_sweep";
-  }
-  [[nodiscard]] MeasurementReport run(ProbeTransport& transport,
-                                      std::uint64_t seed) override;
-
- private:
-  EstimatorOptions opt_;
-  int grid_points_;
-};
-
-/// Adaptive bisection on ro/ri ~= 1 (Eq. 2), the classic dispersion
-/// methodology (registry key "bisection").
-class BisectionMethod : public MeasurementMethod {
- public:
-  explicit BisectionMethod(EstimatorOptions options);
-
-  [[nodiscard]] std::string_view name() const override { return "bisection"; }
-  [[nodiscard]] MeasurementReport run(ProbeTransport& transport,
-                                      std::uint64_t seed) override;
-
- private:
-  EstimatorOptions opt_;
-};
-
-/// SLoPS one-way-delay-trend bisection — pathload's machinery (registry
-/// key "slops"): bisects on "does the OWD trend increase at this rate".
-/// On a FIFO path this estimates the available bandwidth; on a CSMA/CA
-/// link it converges to the achievable throughput (Section 7.2).
-/// Metrics: low_bps, high_bps (final bracket), ambiguous_trains.
-class SlopsMethod : public MeasurementMethod {
- public:
-  explicit SlopsMethod(SlopsOptions options);
-
-  [[nodiscard]] std::string_view name() const override { return "slops"; }
-  [[nodiscard]] MeasurementReport run(ProbeTransport& transport,
-                                      std::uint64_t seed) override;
-
- private:
-  SlopsOptions opt_;
-};
-
-struct PacketPairMethodOptions {
-  int size_bytes = 1500;
-  int pairs = 100;
-
-  void validate() const;
-};
-
-/// Back-to-back packet pairs (Section 7.3; registry key "packet_pair"):
-/// estimates L / E[pair dispersion], the classic capacity reading.  On a
-/// CSMA/CA link it targets the achievable throughput and, because every
-/// pair rides the transient, overestimates even that (Fig 16).
-/// Metrics: mean_gap_s, pairs_used.
-class PacketPairMethod : public MeasurementMethod {
- public:
-  explicit PacketPairMethod(PacketPairMethodOptions options);
-
-  [[nodiscard]] std::string_view name() const override {
-    return "packet_pair";
-  }
-  [[nodiscard]] MeasurementReport run(ProbeTransport& transport,
-                                      std::uint64_t seed) override;
-
- private:
-  PacketPairMethodOptions opt_;
-};
-
-struct SteadyStateMethodOptions {
-  /// Saturating probe rate for the long-run measurement.
-  double probe_mbps = 16.0;
-  int size_bytes = 1500;
-  /// Exact (simulator) path: long-run duration and measurement window
-  /// start.  measure_from_s must be >= the scenario warm-up.
-  double duration_s = 9.0;
-  double measure_from_s = 1.0;
-  /// Generic-transport fallback: one long saturating train; the rate is
-  /// read from the tail dispersion after `skip_head` transient packets.
-  /// Trains with losses are retried up to `max_trains` attempts.
-  int train_length = 600;
-  int skip_head = 150;
-  int max_trains = 3;
-
-  void validate() const;
-};
-
-/// Ground-truth achievable throughput B (registry key "steady_state").
-///
-/// On a SimTransport it runs the scenario's exact long-run steady state
-/// (what the paper's figures use as B); on any other transport it falls
-/// back to the tail dispersion of one long saturating train.  The
-/// `exact` metric records which path ran (1 = exact, 0 = fallback).
-class SteadyStateMethod : public MeasurementMethod {
- public:
-  explicit SteadyStateMethod(SteadyStateMethodOptions options);
-
-  [[nodiscard]] std::string_view name() const override {
-    return "steady_state";
-  }
-  [[nodiscard]] MeasurementReport run(ProbeTransport& transport,
-                                      std::uint64_t seed) override;
-
- private:
-  SteadyStateMethodOptions opt_;
 };
 
 /// String-keyed factory registry for measurement methods — a
@@ -217,8 +104,12 @@ class MethodRegistry {
     return impl_.create(spec);
   }
 
-  /// Registers the five built-in tools: train_sweep, bisection, slops,
-  /// packet_pair, steady_state.
+  /// Registers the five built-in tools:
+  ///  - train_sweep: fixed-grid dispersion sweep fitted to Eq. 3;
+  ///  - bisection: adaptive bisection on ro/ri ~= 1 (Eq. 2);
+  ///  - slops: pathload's one-way-delay-trend bisection;
+  ///  - packet_pair: back-to-back pairs, L / E[pair dispersion];
+  ///  - steady_state: the ground-truth achievable throughput B.
   static void register_builtins(MethodRegistry& registry);
 
   /// The process-wide registry, pre-populated with the builtins.

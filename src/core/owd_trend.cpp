@@ -51,15 +51,4 @@ TrendVerdict classify_trend(const OwdTrend& t) {
   return TrendVerdict::kAmbiguous;
 }
 
-void SlopsOptions::validate() const {
-  CSMABW_REQUIRE(skip_head >= 0, "skip_head must be >= 0");
-  CSMABW_REQUIRE(train_length >= 3 + skip_head,
-                 "train too short for the trend test");
-  CSMABW_REQUIRE(size_bytes > 0, "probe size must be positive");
-  CSMABW_REQUIRE(trains_per_rate >= 1, "need >= 1 train per rate");
-  CSMABW_REQUIRE(min_rate_bps > 0.0 && max_rate_bps > min_rate_bps,
-                 "invalid rate range");
-  CSMABW_REQUIRE(max_iterations >= 1, "need >= 1 bisection iteration");
-}
-
 }  // namespace csmabw::core

@@ -40,21 +40,4 @@ enum class TrendVerdict { kIncreasing, kNonIncreasing, kAmbiguous };
 
 [[nodiscard]] TrendVerdict classify_trend(const OwdTrend& t);
 
-/// Options of the SLoPS-style iterative estimator.
-struct SlopsOptions {
-  int train_length = 50;
-  int size_bytes = 1500;
-  /// Trains per rate; the majority verdict decides.
-  int trains_per_rate = 5;
-  double min_rate_bps = 250e3;
-  double max_rate_bps = 12e6;
-  int max_iterations = 12;
-  /// Leading packets to skip before the trend test — transient
-  /// truncation per Section 7.4 (0 = none).
-  int skip_head = 0;
-
-  /// Throws util::PreconditionError on inconsistent options.
-  void validate() const;
-};
-
 }  // namespace csmabw::core

@@ -14,7 +14,7 @@ namespace csmabw::core {
 /// Probe packets arrive periodically; their service times (access
 /// delays) are drawn from a user-supplied generator, and Poisson FIFO
 /// cross-traffic jobs can share the queue.  The transport lets the same
-/// estimator code run against a purely queueing-theoretic link, which is
+/// tool code run against a purely queueing-theoretic link, which is
 /// how the paper separates queueing effects from MAC effects.
 class QueueingTransport : public ProbeTransport {
  public:

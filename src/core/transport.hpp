@@ -29,7 +29,7 @@ struct TrainResult {
 /// A link a bandwidth measurement tool can probe.
 ///
 /// This is the seam between the paper's measurement methodology and the
-/// link under test: the same estimator code runs over the DCF simulator
+/// link under test: the same tool code runs over the DCF simulator
 /// (`SimTransport`), the trace-driven queueing model
 /// (`QueueingTransport`) or real UDP sockets (`net::UdpLoopbackTransport`
 /// — the testbed substitute).

@@ -1,7 +1,6 @@
 // Failure injection: measurement tools must survive lossy links.
 #include <gtest/gtest.h>
 
-#include "core/estimator.hpp"
 #include "core/method.hpp"
 #include "core/queueing_transport.hpp"
 #include "util/require.hpp"
@@ -38,34 +37,36 @@ QueueingTransport::Config healthy_link() {
   return cfg;
 }
 
+MeasurementReport run(const char* spec, ProbeTransport& transport) {
+  return MethodRegistry::global().create(spec)->run(transport, /*seed=*/0);
+}
+
 TEST(LossyLink, EstimatorSkipsLostTrainsAndCounts) {
   QueueingTransport inner(healthy_link());
   LossyTransport lossy(inner, /*lose_every=*/3);
-  EstimatorOptions opt;
-  opt.train_length = 30;
-  opt.trains_per_rate = 9;
-  BandwidthEstimator est(lossy, opt);
-  const RateResponsePoint p = est.measure_rate(2e6);
-  // A third of the trains are lost; the measurement still lands.
-  EXPECT_NEAR(p.output_bps, 2e6, 0.1e6);
-  EXPECT_EQ(est.trains_lost(), 3);
+  const MeasurementReport r =
+      run("train_sweep:train_length=30,trains_per_rate=9,grid=2,"
+          "min_rate_mbps=2,max_rate_mbps=3",
+          lossy);
+  // A third of the trains are lost, three at each rate; the measurement
+  // still lands.
+  EXPECT_NEAR(r.curve.points.at(0).output_bps, 2e6, 0.1e6);
+  EXPECT_EQ(r.trains_sent, 18);
+  EXPECT_EQ(r.trains_lost, 6);
 }
 
 TEST(LossyLink, EstimatorFailsCleanlyWhenEverythingLost) {
   QueueingTransport inner(healthy_link());
   LossyTransport lossy(inner, /*lose_every=*/1);
-  EstimatorOptions opt;
-  opt.train_length = 30;
-  opt.trains_per_rate = 4;
-  BandwidthEstimator est(lossy, opt);
-  EXPECT_THROW((void)est.measure_rate(2e6), util::PreconditionError);
+  EXPECT_THROW(
+      (void)run("train_sweep:train_length=30,trains_per_rate=4", lossy),
+      util::PreconditionError);
 }
 
 TEST(LossyLink, PacketPairReportsLostPairs) {
   QueueingTransport inner(healthy_link());
   LossyTransport lossy(inner, /*lose_every=*/4);
-  const MeasurementReport r =
-      PacketPairMethod({.size_bytes = 1500, .pairs = 8}).run(lossy, 0);
+  const MeasurementReport r = run("packet_pair:size_bytes=1500,pairs=8", lossy);
   EXPECT_EQ(r.trains_lost, 2);
   EXPECT_EQ(r.metric("pairs_used"), 6);
   EXPECT_GT(r.estimate_bps, 0.0);
@@ -74,11 +75,8 @@ TEST(LossyLink, PacketPairReportsLostPairs) {
 TEST(LossyLink, SlopsIgnoresIncompleteTrains) {
   QueueingTransport inner(healthy_link());
   LossyTransport lossy(inner, /*lose_every=*/2);
-  SlopsOptions opt;
-  opt.train_length = 40;
-  opt.trains_per_rate = 4;
-  opt.max_iterations = 8;
-  const MeasurementReport r = SlopsMethod(opt).run(lossy, 0);
+  const MeasurementReport r =
+      run("slops:train_length=40,trains_per_rate=4,max_iterations=8", lossy);
   // Half the trains vanish; the bisection still converges to the same
   // band as on the clean link (~6 Mb/s service rate).
   EXPECT_GT(r.estimate_bps, 4.5e6);

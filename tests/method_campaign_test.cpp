@@ -66,8 +66,7 @@ TEST(SweepSpecMethods, ValidatesGloballyRegisteredCustomMethod) {
   if (!registry.contains("test_custom_tool")) {  // first run in-process
     EXPECT_THROW(spec.validate(), util::PreconditionError);
     registry.add("test_custom_tool", [](const util::Options&) {
-      return std::make_unique<core::PacketPairMethod>(
-          core::PacketPairMethodOptions{});
+      return core::MethodRegistry::global().create("packet_pair");
     });
   }
   EXPECT_NO_THROW(spec.validate());

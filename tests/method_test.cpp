@@ -78,21 +78,15 @@ TEST(MethodRegistry, CreateRejectsMalformedAndInvalidOptionValues) {
 }
 
 TEST(MethodRegistry, RejectsDuplicateAndEmptyRegistration) {
+  // A custom tool: a builtin made from its spec stands in for one.
+  const MethodRegistry::Factory pairs = [](const util::Options&) {
+    return MethodRegistry::global().create("packet_pair");
+  };
   MethodRegistry registry;
-  registry.add("demo", [](const util::Options&) {
-    return std::make_unique<PacketPairMethod>(PacketPairMethodOptions{});
-  });
+  registry.add("demo", pairs);
   EXPECT_TRUE(registry.contains("demo"));
-  EXPECT_THROW(registry.add("demo",
-                            [](const util::Options&) {
-                              return std::make_unique<PacketPairMethod>(
-                                  PacketPairMethodOptions{});
-                            }),
-               util::PreconditionError);
-  EXPECT_THROW(registry.add("", [](const util::Options&) {
-    return std::make_unique<PacketPairMethod>(PacketPairMethodOptions{});
-  }),
-               util::PreconditionError);
+  EXPECT_THROW(registry.add("demo", pairs), util::PreconditionError);
+  EXPECT_THROW(registry.add("", pairs), util::PreconditionError);
   EXPECT_THROW(registry.add("nullfactory", nullptr),
                util::PreconditionError);
 }
@@ -227,17 +221,36 @@ class LoseFirstTransport : public ProbeTransport {
 };
 
 TEST(Methods, TrainCountersAreUniformAcrossMethodsUnderLoss) {
-  // Every method counts attempts in trains_sent and the lossy subset in
-  // trains_lost, so probing cost is comparable across the shared
-  // campaign schema.
-  QueueingTransport inner(transient_link());
-  LoseFirstTransport lossy(inner, 2);
-  const auto slops = MethodRegistry::global().create(
-      "slops:train_length=20,trains_per_rate=4,max_iterations=1");
-  const MeasurementReport report = slops->run(lossy, 1);
-  EXPECT_EQ(report.trains_sent, 4);
-  EXPECT_EQ(report.trains_lost, 2);
-  EXPECT_EQ(report.probes_sent, 4 * 20);
+  // Every method counts attempts in trains_sent, their packets in
+  // probes_sent and the lossy subset in trains_lost, so probing cost is
+  // comparable across the shared campaign schema.  Three trains per
+  // probed rate keep every rate measurable with the first two lost.
+  struct Case {
+    const char* spec;
+    int trains_sent;
+    int packets_per_train;
+  };
+  for (const Case& c : {
+           Case{"train_sweep:train_length=20,trains_per_rate=3,grid=2", 6,
+                20},
+           Case{"bisection:train_length=20,trains_per_rate=3,"
+                "max_iterations=2",
+                6, 20},
+           Case{"slops:train_length=20,trains_per_rate=3,max_iterations=2",
+                6, 20},
+           Case{"packet_pair:pairs=3", 3, 2},
+           Case{"steady_state:train_length=100,skip_head=10,max_trains=3", 3,
+                100},
+       }) {
+    QueueingTransport inner(transient_link());
+    LoseFirstTransport lossy(inner, 2);
+    const MeasurementReport report =
+        MethodRegistry::global().create(c.spec)->run(lossy, 1);
+    EXPECT_EQ(report.trains_sent, c.trains_sent) << c.spec;
+    EXPECT_EQ(report.trains_lost, 2) << c.spec;
+    EXPECT_EQ(report.probes_sent, report.trains_sent * c.packets_per_train)
+        << c.spec;
+  }
 }
 
 TEST(Methods, SteadyStateFallbackRetriesLossyTrains) {

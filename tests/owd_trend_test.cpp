@@ -77,10 +77,10 @@ TEST(Slops, ConvergesOnQueueingLink) {
     return rng.uniform(0.0019, 0.0021);
   };
   QueueingTransport link(cfg);
-  SlopsOptions opt;
-  opt.train_length = 60;
-  opt.trains_per_rate = 3;
-  const MeasurementReport r = SlopsMethod(opt).run(link, /*seed=*/0);
+  const MeasurementReport r =
+      MethodRegistry::global()
+          .create("slops:train_length=60,trains_per_rate=3")
+          ->run(link, /*seed=*/0);
   EXPECT_GT(r.estimate_bps, 4.8e6);
   EXPECT_LT(r.estimate_bps, 7.2e6);
   EXPECT_GT(r.trains_sent, 0);
@@ -94,11 +94,10 @@ TEST(Slops, TracksAchievableOnWlan) {
   cell.seed = 71;
   cell.contenders.push_back(StationSpec::poisson(BitRate::mbps(4.0), 1500));
   SimTransport link(cell);
-  SlopsOptions opt;
-  opt.train_length = 60;
-  opt.trains_per_rate = 3;
-  opt.max_iterations = 10;
-  const MeasurementReport r = SlopsMethod(opt).run(link, /*seed=*/0);
+  const MeasurementReport r =
+      MethodRegistry::global()
+          .create("slops:train_length=60,trains_per_rate=3,max_iterations=10")
+          ->run(link, /*seed=*/0);
   const double capacity = cell.phy.saturation_rate(1500).to_bps();
   const double available = capacity - 4e6;  // ~2.9 Mb/s
   // Lands in the fair-share region, above the available bandwidth.
@@ -107,15 +106,13 @@ TEST(Slops, TracksAchievableOnWlan) {
 }
 
 TEST(Slops, ValidatesOptions) {
-  SlopsOptions opt;
-  opt.train_length = 2;
-  EXPECT_THROW((void)SlopsMethod(opt), util::PreconditionError);
-  opt = SlopsOptions{};
-  opt.skip_head = -1;
-  EXPECT_THROW((void)SlopsMethod(opt), util::PreconditionError);
-  opt = SlopsOptions{};
-  opt.max_rate_bps = opt.min_rate_bps;
-  EXPECT_THROW((void)SlopsMethod(opt), util::PreconditionError);
+  for (const char* spec : {"slops:train_length=2", "slops:skip_head=-1",
+                           "slops:train_length=10,skip_head=8",
+                           "slops:max_rate_mbps=0.25"}) {
+    EXPECT_THROW((void)MethodRegistry::global().create(spec),
+                 util::PreconditionError)
+        << spec;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/queueing_transport.hpp"
 #include "core/scenario.hpp"
 #include "util/require.hpp"
@@ -10,8 +12,10 @@ namespace csmabw::core {
 namespace {
 
 MeasurementReport packet_pairs(ProbeTransport& t, int size_bytes, int pairs) {
-  return PacketPairMethod({.size_bytes = size_bytes, .pairs = pairs})
-      .run(t, /*seed=*/0);
+  return MethodRegistry::global()
+      .create("packet_pair:size_bytes=" + std::to_string(size_bytes) +
+              ",pairs=" + std::to_string(pairs))
+      ->run(t, /*seed=*/0);
 }
 
 TEST(PacketPair, ConstantServiceYieldsServiceRate) {
