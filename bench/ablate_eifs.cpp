@@ -2,6 +2,9 @@
 // collisions on the saturated fair share and on collision counts.  EIFS
 // penalizes bystanders of a collision; with it disabled all stations
 // defer plain DIFS.
+//
+// Every station count is a runner job (--threads N); its two runs build
+// their cells from fixed seeds alone.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -33,38 +36,38 @@ SatResult saturate(int stations, bool use_eifs, double seconds,
                        (seconds - 1.0)};
 }
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"duration", "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const double seconds = args.get("duration", 6.0) * util::bench_scale() + 1.0;
 
-  bench::announce("Ablation: EIFS",
-                  "saturation throughput and collision rate with/without "
-                  "EIFS deference",
-                  "n saturated stations, 1500 B frames");
+  b.announce("Ablation: EIFS",
+             "saturation throughput and collision rate with/without "
+             "EIFS deference",
+             "n saturated stations, 1500 B frames");
 
-  util::Table table({"stations", "agg_eifs_mbps", "agg_no_eifs_mbps",
-                     "collisions_eifs_per_s", "collisions_no_eifs_per_s",
-                     "bianchi_eifs_mbps"});
-  std::vector<std::vector<double>> rows;
-  for (int n : {1, 2, 3, 5, 8}) {
+  const std::vector<int> stations{1, 2, 3, 5, 8};
+  b.columns({"stations", "agg_eifs_mbps", "agg_no_eifs_mbps",
+             "collisions_eifs_per_s", "collisions_no_eifs_per_s",
+             "bianchi_eifs_mbps"});
+  b.map_rows(stations.size(), [&](std::size_t i) {
+    const int n = stations[i];
     const SatResult with_eifs = saturate(n, true, seconds, 301);
     const SatResult without = saturate(n, false, seconds, 302);
-    mac::PhyParams phy = mac::PhyParams::dot11b_short();
-    const auto bi = mac::bianchi_saturation(phy, n, 1500);
-    rows.push_back({static_cast<double>(n), with_eifs.aggregate_mbps,
-                    without.aggregate_mbps, with_eifs.collisions_per_s,
-                    without.collisions_per_s, bi.aggregate.to_mbps()});
-    table.add_row(rows.back());
-  }
-  bench::emit(table, args, rows);
+    const auto bi =
+        mac::bianchi_saturation(mac::PhyParams::dot11b_short(), n, 1500);
+    return std::vector<double>{static_cast<double>(n),
+                               with_eifs.aggregate_mbps,
+                               without.aggregate_mbps,
+                               with_eifs.collisions_per_s,
+                               without.collisions_per_s,
+                               bi.aggregate.to_mbps()};
+  });
+  b.emit();
   std::cout << "# expect: EIFS slightly lowers aggregate throughput under "
                "contention (longer deference after collisions)\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ablate_eifs", run, argc, argv);
+  return bench::main("ablate_eifs", run, argc, argv, "duration");
 }

@@ -28,18 +28,16 @@ exp::Cell variant(bool immediate, bool post_backoff, int reps, int train) {
   return cell;
 }
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "show", "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(800));
   const int train = args.get("train", 300);
-  const int show = args.get("show", 60);
+  const int show = bench::train_index_flag(args, "show", 60, 0, train);
 
-  bench::announce("Ablation: immediate access & post-backoff",
-                  "normalized mean access delay by packet index",
-                  "Fig 6 scenario (probe 5 Mb/s, contender 4 Mb/s); value "
-                  "1.0 = steady state; " +
-                      std::to_string(reps) + " repetitions per variant");
+  b.announce("Ablation: immediate access & post-backoff",
+             "normalized mean access delay by packet index",
+             "Fig 6 scenario (probe 5 Mb/s, contender 4 Mb/s); value "
+             "1.0 = steady state; " +
+                 std::to_string(reps) + " repetitions per variant");
 
   // Cells 0..2 (standard, no immediate access, no post-backoff) run with
   // scenario seeds 201..203.
@@ -49,31 +47,24 @@ int run(int argc, char** argv) {
                                201);
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;
-  exp::Progress progress(campaign.total_repetitions(), "ablate",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto cells = b.run(campaign, tcfg);
 
-  util::Table table({"packet", "standard", "no_immediate_access",
-                     "no_post_backoff"});
-  std::vector<std::vector<double>> rows;
+  b.columns({"packet", "standard", "no_immediate_access", "no_post_backoff"});
   for (int i = 0; i < show; ++i) {
-    rows.push_back({static_cast<double>(i + 1)});
+    std::vector<double> row{static_cast<double>(i + 1)};
     for (const exp::TrainCellStats& cell : cells) {
-      rows.back().push_back(cell.analyzer.mean_at(i) /
-                            cell.analyzer.steady_mean());
+      row.push_back(cell.analyzer.mean_at(i) / cell.analyzer.steady_mean());
     }
-    table.add_row(rows.back());
+    b.row(std::move(row));
   }
-  bench::emit(table, args, rows);
+  b.emit();
   std::cout << "# expect: the 'standard' column starts lowest (strongest "
                "first-packet acceleration)\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ablate_immediate_access", run, argc, argv);
+  return bench::main("ablate_immediate_access", run, argc, argv, "reps",
+                     "train", "show");
 }

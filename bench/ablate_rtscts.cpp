@@ -3,6 +3,9 @@
 // full data frame to an RTS, at the price of per-frame control overhead.
 // With few stations and 1500-byte frames the overhead dominates (the
 // usual justification for leaving it off).
+//
+// Every station count is a runner job (--threads N); its two runs build
+// their cells from fixed seeds alone.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -38,35 +41,32 @@ SatResult saturate(int stations, bool rts, double seconds,
   return r;
 }
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"duration", "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const double seconds = args.get("duration", 6.0) * util::bench_scale() + 1.0;
 
-  bench::announce("Ablation: RTS/CTS",
-                  "saturation throughput and collision-time share with and "
-                  "without the RTS/CTS exchange",
-                  "n saturated stations, 1500 B frames");
+  b.announce("Ablation: RTS/CTS",
+             "saturation throughput and collision-time share with and "
+             "without the RTS/CTS exchange",
+             "n saturated stations, 1500 B frames");
 
-  util::Table table({"stations", "agg_basic_mbps", "agg_rtscts_mbps",
-                     "collision_share_basic", "collision_share_rtscts"});
-  std::vector<std::vector<double>> rows;
-  for (int n : {2, 3, 5, 8, 12}) {
+  const std::vector<int> stations{2, 3, 5, 8, 12};
+  b.columns({"stations", "agg_basic_mbps", "agg_rtscts_mbps",
+             "collision_share_basic", "collision_share_rtscts"});
+  b.map_rows(stations.size(), [&](std::size_t i) {
+    const int n = stations[i];
     const SatResult basic = saturate(n, false, seconds, 501);
     const SatResult rts = saturate(n, true, seconds, 502);
-    rows.push_back({static_cast<double>(n), basic.aggregate_mbps,
-                    rts.aggregate_mbps, basic.collision_share,
-                    rts.collision_share});
-    table.add_row(rows.back());
-  }
-  bench::emit(table, args, rows);
+    return std::vector<double>{static_cast<double>(n), basic.aggregate_mbps,
+                               rts.aggregate_mbps, basic.collision_share,
+                               rts.collision_share};
+  });
+  b.emit();
   std::cout << "# expect: RTS/CTS costs throughput at small n (overhead) "
                "but wastes far less channel time per collision\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ablate_rtscts", run, argc, argv);
+  return bench::main("ablate_rtscts", run, argc, argv, "duration");
 }

@@ -29,10 +29,7 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "probe-mbps", "grid-rate", "pair-rate",
-                      "seed", "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(120));
   const int train = args.get("train", 120);
   const double probe_mbps = args.get("probe-mbps", 5.0);
@@ -42,7 +39,7 @@ int run(int argc, char** argv) {
   const std::string grid_rate = args.get("grid-rate", std::string("200k"));
   const std::string pair_rate = args.get("pair-rate", std::string("1M"));
 
-  bench::announce(
+  b.announce(
       "Extension: transients on conflict-graph topologies",
       "per-position mean access delay and KS transient duration, "
       "clique vs grid:3x3 vs pairs-hidden:2 at fixed load",
@@ -68,52 +65,15 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;  // KS of the first packet vs the steady pool
-  exp::Progress progress(campaign.total_repetitions(),
-                         "grid-transient", bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  std::cerr << "# threads: " << runner.threads() << "\n";
-  const auto results = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto results = b.run(campaign, tcfg);
 
-  for (const exp::Cell& cell : campaign.cells()) {
-    std::cout << "# cell " << cell.index << ": " << cell.scenario_name
-              << "\n";
-  }
-
-  util::Table table({"cell", "stations", "reps_used", "dropped",
-                     "first_delay_ms", "steady_delay_ms", "ks_first",
-                     "transient_tol0.1", "rate_mbps"});
-  std::vector<std::vector<double>> rows;
-  for (const exp::Cell& cell : campaign.cells()) {
-    const exp::TrainCellStats& r =
-        results[static_cast<std::size_t>(cell.index)];
-    rows.push_back({static_cast<double>(cell.index),
-                    static_cast<double>(cell.contenders + 1),
-                    static_cast<double>(r.used),
-                    static_cast<double>(r.dropped),
-                    r.analyzer.mean_at(0) * 1e3,
-                    r.analyzer.steady_mean() * 1e3, r.analyzer.ks_at(0),
-                    static_cast<double>(r.analyzer.transient_length(0.1)),
-                    r.measured_rate_mbps(cell.train.size_bytes)});
-    table.add_row(rows.back());
-  }
-  bench::emit(table, args, rows);
-
-  // The satellite view: mean access delay by train position, one column
-  // per cell — the transient's shape, not just its length.
-  util::Table positions(
-      {"position", "clique9_ms", "grid3x3_ms", "clique2_ms", "hidden2_ms"});
-  for (int k : {0, 1, 2, 3, 5, 8, 12, 20, 40, train - 1}) {
-    if (k >= train) {
-      continue;
-    }
-    std::vector<double> row{static_cast<double>(k)};
-    for (const auto& r : results) {
-      row.push_back(r.analyzer.mean_at(k) * 1e3);
-    }
-    positions.add_row(row);
-  }
-  positions.print(std::cout);
+  // The satellite view after the per-cell table: mean access delay by
+  // train position, one column per cell — the transient's shape, not
+  // just its length.
+  bench::transient_tables(
+      b, campaign, results, "cell", {0, 1, 2, 3},
+      {"position", "clique9_ms", "grid3x3_ms", "clique2_ms", "hidden2_ms"},
+      {0, 1, 2, 3, 5, 8, 12, 20, 40, train - 1});
 
   const double grid_vs_clique = results[1].analyzer.steady_mean() /
                                 results[0].analyzer.steady_mean();
@@ -126,11 +86,11 @@ int run(int argc, char** argv) {
   std::cout << "# expect: both ratios > 1 and longer/taller transients in "
                "the hidden-terminal cells — carrier sense no longer "
                "serializes the cell, overlap becomes retransmission\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ext_grid_transient", run, argc, argv);
+  return bench::main("ext_grid_transient", run, argc, argv, "reps", "train",
+                     "probe-mbps", "grid-rate", "pair-rate", "seed");
 }

@@ -29,11 +29,7 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "probe-mbps", "rate", "side", "seed",
-                      "csv", "threads", "progress", "metrics-out", "prof",
-                      "obs"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(2));
   const int train = args.get("train", 40);
   const double probe_mbps = args.get("probe-mbps", 1.0);
@@ -51,7 +47,7 @@ int run(int argc, char** argv) {
     sides = {3, side};
   }
 
-  bench::announce(
+  b.announce(
       "Extension: access-delay transients on 1k-10k-station lattices",
       "per-position mean access delay, KS transient duration and probe "
       "rate vs lattice side at fixed per-station load",
@@ -63,12 +59,15 @@ int run(int argc, char** argv) {
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 1009));
   spec.scenarios.clear();
+  std::vector<double> keys;
+  std::vector<std::string> columns{"position"};
   for (int s : sides) {
-    const int stations = s * s;
-    spec.scenarios.push_back("topology=grid:" + std::to_string(s) + "x" +
-                             std::to_string(s) + ";contenders=" +
-                             std::to_string(stations - 1) +
+    const std::string lattice = std::to_string(s) + "x" + std::to_string(s);
+    spec.scenarios.push_back("topology=grid:" + lattice + ";contenders=" +
+                             std::to_string(s * s - 1) +
                              "x poisson:rate=" + rate);
+    keys.push_back(static_cast<double>(s));
+    columns.push_back("grid" + lattice + "_ms");
   }
   spec.train_lengths = {train};
   spec.probe_mbps = {probe_mbps};
@@ -79,69 +78,23 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;  // KS of the first packet vs the steady pool
-  exp::Progress progress(campaign.total_repetitions(),
-                         "lattice-delay", bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  std::cerr << "# threads: " << runner.threads() << "\n";
   serve::CampaignServeOptions io;
   io.metrics = obs.metrics();
   io.profiler = obs.profiler();
-  const auto results = exp::run_train_campaign(campaign, tcfg, runner, io);
-  progress.finish();
+  const auto results = b.run(campaign, tcfg, io);
 
-  for (const exp::Cell& cell : campaign.cells()) {
-    std::cout << "# cell " << cell.index << ": " << cell.scenario_name
-              << "\n";
-  }
+  // After the per-side table, the transient's shape: mean access delay
+  // by train position, one column per lattice side.
+  bench::transient_tables(b, campaign, results, "side", keys,
+                          std::move(columns),
+                          {0, 1, 2, 3, 5, 8, 12, 20, train - 1});
 
-  util::Table table({"side", "stations", "reps_used", "dropped",
-                     "first_delay_ms", "steady_delay_ms", "ks_first",
-                     "transient_tol0.1", "rate_mbps"});
-  std::vector<std::vector<double>> rows;
-  for (const exp::Cell& cell : campaign.cells()) {
-    const exp::TrainCellStats& r =
-        results[static_cast<std::size_t>(cell.index)];
-    const int s = sides[static_cast<std::size_t>(cell.index)];
-    rows.push_back({static_cast<double>(s),
-                    static_cast<double>(cell.contenders + 1),
-                    static_cast<double>(r.used),
-                    static_cast<double>(r.dropped),
-                    r.analyzer.mean_at(0) * 1e3,
-                    r.analyzer.steady_mean() * 1e3, r.analyzer.ks_at(0),
-                    static_cast<double>(r.analyzer.transient_length(0.1)),
-                    r.measured_rate_mbps(cell.train.size_bytes)});
-    table.add_row(rows.back());
+  std::vector<obs::CellObs> cell_obs;
+  cell_obs.reserve(results.size());
+  for (const exp::TrainCellStats& r : results) {
+    cell_obs.push_back(r.obs);
   }
-  bench::emit(table, args, rows);
-
-  // The transient's shape: mean access delay by train position, one
-  // column per lattice side.
-  std::vector<std::string> cols{"position"};
-  for (int s : sides) {
-    cols.push_back("grid" + std::to_string(s) + "x" + std::to_string(s) +
-                   "_ms");
-  }
-  util::Table positions(cols);
-  for (int k : {0, 1, 2, 3, 5, 8, 12, 20, train - 1}) {
-    if (k >= train) {
-      continue;
-    }
-    std::vector<double> row{static_cast<double>(k)};
-    for (const auto& r : results) {
-      row.push_back(r.analyzer.mean_at(k) * 1e3);
-    }
-    positions.add_row(row);
-  }
-  positions.print(std::cout);
-
-  {
-    std::vector<obs::CellObs> cell_obs;
-    cell_obs.reserve(results.size());
-    for (const exp::TrainCellStats& r : results) {
-      cell_obs.push_back(r.obs);
-    }
-    obs.finish(cell_obs, runner.threads());
-  }
+  obs.finish(cell_obs, b.threads());
 
   const double blowup = results.back().analyzer.steady_mean() /
                         results.front().analyzer.steady_mean();
@@ -153,11 +106,12 @@ int run(int argc, char** argv) {
                "lattice side — hidden-terminal chains couple neighborhoods "
                "and the relaxation to the steady delay pool slows (torpid "
                "mixing)\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ext_lattice_delay", run, argc, argv);
+  return bench::main("ext_lattice_delay", run, argc, argv, "reps", "train",
+                     "probe-mbps", "rate", "side", "seed", "metrics-out",
+                     "prof", "obs");
 }

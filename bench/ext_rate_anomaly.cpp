@@ -6,9 +6,9 @@
 //
 // Each (fast-station count) x (with/without laggard) cell is one
 // heterogeneous-rate scenario spec ("Nx saturated + 1x saturated@2M")
-// run through the campaign engine: cells execute across --threads
-// workers, each seeded from (campaign seed, cell index) alone, so the
-// table is byte-identical for any thread count.
+// run as a runner job: cells execute across --threads workers, each
+// seeded from (campaign seed, cell index) alone, so the table is
+// byte-identical for any thread count.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,57 +21,31 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"duration", "fast", "seed", "csv", "threads",
-                      "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const double seconds = args.get("duration", 8.0) * util::bench_scale() + 1.0;
   const std::vector<int> fast_counts = args.get_ints("fast", {1, 2, 3, 5});
 
-  bench::announce("Extension: 802.11 rate anomaly",
-                  "per-station saturation throughput with one 2 Mb/s "
-                  "laggard in an 11 Mb/s cell",
-                  "all stations saturated, 1500 B frames, one scenario "
-                  "spec per cell");
+  b.announce("Extension: 802.11 rate anomaly",
+             "per-station saturation throughput with one 2 Mb/s "
+             "laggard in an 11 Mb/s cell",
+             "all stations saturated, 1500 B frames, one scenario "
+             "spec per cell");
 
-  // Two cells per fast-station count: the homogeneous baseline and the
-  // same cell plus one laggard at a 2 Mb/s PHY rate.
-  std::vector<exp::Cell> cells;
-  for (int n : fast_counts) {
-    for (const bool with_slow : {false, true}) {
-      const std::string grammar =
-          "phy=dot11b_short;contenders=" + std::to_string(n) +
-          "x saturated" + (with_slow ? " + 1x saturated@2M" : "");
-      exp::Cell cell;
-      const core::ScenarioSpec spec = core::ScenarioSpec::parse(grammar);
-      cell.scenario_name = spec.describe();
-      cell.contenders = static_cast<int>(spec.contenders.size());
-      cell.phy_preset = spec.phy_preset;
-      cell.scenario = spec.to_config(/*seed set by Campaign*/ 0);
-      cell.repetitions = 1;
-      cells.push_back(std::move(cell));
-    }
-  }
-  const exp::Campaign campaign(
-      std::move(cells),
-      static_cast<std::uint64_t>(args.get("seed", 401)));
+  // Two runs per fast-station count: the homogeneous baseline and the
+  // same cell plus one laggard at a 2 Mb/s PHY rate.  Run i is seeded
+  // like campaign cell i.
+  const auto seed = static_cast<std::uint64_t>(args.get("seed", 401));
+  const auto results = b.map(2 * fast_counts.size(), [&](std::size_t i) {
+    const core::ScenarioSpec spec = core::ScenarioSpec::parse(
+        "phy=dot11b_short;contenders=" + std::to_string(fast_counts[i / 2]) +
+        "x saturated" + (i % 2 == 1 ? " + 1x saturated@2M" : ""));
+    const core::Scenario sc(
+        spec.to_config(exp::Campaign::cell_seed(seed, static_cast<int>(i))));
+    return sc.run_contention(TimeNs::from_seconds(seconds), TimeNs::sec(1));
+  });
 
-  exp::Progress progress(campaign.size(), "cells",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  // stderr, not stdout: stdout must stay byte-identical across --threads.
-  std::cerr << "# threads: " << runner.threads() << "\n";
-  const auto results =
-      exp::run_cells(campaign, runner, [&](const exp::Cell& cell) {
-        const core::Scenario sc(cell.scenario);
-        return sc.run_contention(TimeNs::from_seconds(seconds),
-                                 TimeNs::sec(1));
-      });
-  progress.finish();
-
-  util::Table table({"fast_stations", "fast_alone_mbps",
-                     "fast_with_laggard_mbps", "laggard_mbps"});
-  std::vector<std::vector<double>> rows;
+  b.columns({"fast_stations", "fast_alone_mbps", "fast_with_laggard_mbps",
+             "laggard_mbps"});
   for (std::size_t i = 0; i < fast_counts.size(); ++i) {
     const int n = fast_counts[i];
     const core::ContentionResult& alone = results[2 * i];
@@ -83,19 +57,17 @@ int run(int argc, char** argv) {
       }
       return total / n;
     };
-    rows.push_back({static_cast<double>(n), mean_fast(alone),
-                    mean_fast(mixed),
-                    mixed.per_contender.back().to_mbps()});
-    table.add_row(rows.back());
+    b.row({static_cast<double>(n), mean_fast(alone), mean_fast(mixed),
+           mixed.per_contender.back().to_mbps()});
   }
-  bench::emit(table, args, rows);
+  b.emit();
   std::cout << "# expect: fast_with_laggard ~= laggard (equal shares), far "
                "below fast_alone — the anomaly\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ext_rate_anomaly", run, argc, argv);
+  return bench::main("ext_rate_anomaly", run, argc, argv, "duration",
+                     "fast", "seed");
 }

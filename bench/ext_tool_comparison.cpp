@@ -30,11 +30,7 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"format", "trains", "pairs", "seed", "cross-mbps", "reps",
-                      "csv", "jsonl", "threads", "progress"});
-
+void run(bench::Bench& b, const util::Args& args) {
   const std::string format = args.get("format", "table");
   CSMABW_REQUIRE(format == "table" || format == "json",
                  "--format must be table or json");
@@ -70,7 +66,7 @@ int run(int argc, char** argv) {
       mac::PhyParams::dot11b_short().saturation_rate(1500).to_mbps();
 
   if (!json) {
-    bench::announce(
+    b.announce(
         "Extension (Sec 7.2)",
         "available-bandwidth tools follow B, not A, on CSMA/CA links",
         std::to_string(cross_rates.size()) + " cross rates x " +
@@ -78,14 +74,7 @@ int run(int argc, char** argv) {
             std::to_string(spec.repetitions) + " repetitions, one campaign");
   }
 
-  exp::Progress progress(campaign.total_repetitions(), "tools",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  // stderr, not stdout: stdout must stay byte-identical across --threads.
-  std::cerr << "# threads: " << runner.threads() << "\n";
-  const std::vector<exp::MethodRun> runs =
-      exp::run_method_campaign(campaign, exp::MethodCampaignConfig{}, runner);
-  progress.finish();
+  const std::vector<exp::MethodRun> runs = b.run_methods(campaign);
 
   // Per-run rows to the machine-readable sinks.
   exp::CollectorOptions copts;
@@ -107,7 +96,7 @@ int run(int argc, char** argv) {
   }
 
   if (json) {
-    return 0;
+    return;
   }
 
   // Pivot: one console row per cross rate, one column per method (cells
@@ -139,11 +128,11 @@ int run(int argc, char** argv) {
   }
   std::cout << "# expect: every tool column tracks B (and overshoots it), "
                "none tracks A\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("ext_tool_comparison", run, argc, argv);
+  return bench::main("ext_tool_comparison", run, argc, argv, "format",
+                     "trains", "pairs", "seed", "cross-mbps", "reps", "jsonl");
 }

@@ -16,34 +16,31 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "show", "seed", "cross-mbps",
-                      "probe-mbps", "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(2000));
   const int train = args.get("train", 1000);
   const int show = args.get("show", 150);
+  const double cross_mbps = args.get("cross-mbps", 4.0);
+  const double probe_mbps = args.get("probe-mbps", 5.0);
 
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 6));
-  spec.scenarios = {bench::poisson_scenario(args.get("cross-mbps", 4.0))};
+  spec.scenarios = {bench::poisson_scenario(cross_mbps)};
   spec.train_lengths = {train};
-  spec.probe_mbps = {args.get("probe-mbps", 5.0)};
+  spec.probe_mbps = {probe_mbps};
   spec.repetitions = reps;
   const exp::Campaign campaign(spec);
 
-  bench::announce("Figure 6", "mean access delay vs probe packet number",
-                  "probe 5 Mb/s, contender Poisson 4 Mb/s, trains of " +
-                      std::to_string(train) + ", " + std::to_string(reps) +
-                      " repetitions (paper: 25000)");
+  b.announce("Figure 6", "mean access delay vs probe packet number",
+             "probe " + util::Table::format(probe_mbps) +
+                 " Mb/s, contender Poisson " +
+                 util::Table::format(cross_mbps) + " Mb/s, trains of " +
+                 std::to_string(train) + ", " + std::to_string(reps) +
+                 " repetitions (paper: 25000)");
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;  // raw samples not needed here
-  exp::Progress progress(campaign.total_repetitions(), "fig06",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto cells = b.run(campaign, tcfg);
   const exp::TrainCellStats& cell = cells.front();
 
   std::cout << "# repetitions used: " << cell.used << " (dropped "
@@ -52,19 +49,16 @@ int run(int argc, char** argv) {
             << util::Table::format(cell.analyzer.steady_mean() * 1e3, 4)
             << " ms\n";
 
-  util::Table table({"packet", "mean_access_delay_ms"});
-  std::vector<std::vector<double>> rows;
+  b.columns({"packet", "mean_access_delay_ms"});
   for (int i = 0; i < show && i < train; ++i) {
-    rows.push_back(
-        {static_cast<double>(i + 1), cell.analyzer.mean_at(i) * 1e3});
-    table.add_row(rows.back());
+    b.row({static_cast<double>(i + 1), cell.analyzer.mean_at(i) * 1e3});
   }
-  bench::emit(table, args, rows);
-  return 0;
+  b.emit();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("fig06_mean_access_delay", run, argc, argv);
+  return bench::main("fig06_mean_access_delay", run, argc, argv, "reps",
+                     "train", "show", "seed", "cross-mbps", "probe-mbps");
 }

@@ -6,7 +6,6 @@
 // Runs as a single-cell campaign on the exp:: engine; sparse raw-sample
 // retention keeps the ensemble distributions of exactly the two indices
 // the histograms need.
-#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -17,39 +16,36 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "late-index", "bins", "seed",
-                      "cross-mbps", "probe-mbps", "csv", "threads",
-                      "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(2000));
   const int train = args.get("train", 600);
-  const int late_index = args.get("late-index", 500);
+  const int late_index =
+      bench::train_index_flag(args, "late-index", 500, 1, train);
   const int bins = args.get("bins", 24);
+  const double cross_mbps = args.get("cross-mbps", 4.0);
+  const double probe_mbps = args.get("probe-mbps", 5.0);
 
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 7));
-  spec.scenarios = {bench::poisson_scenario(args.get("cross-mbps", 4.0))};
+  spec.scenarios = {bench::poisson_scenario(cross_mbps)};
   spec.train_lengths = {train};
-  spec.probe_mbps = {args.get("probe-mbps", 5.0)};
+  spec.probe_mbps = {probe_mbps};
   spec.repetitions = reps;
   const exp::Campaign campaign(spec);
 
-  bench::announce("Figure 7",
-                  "access-delay histograms of the 1st and " +
-                      std::to_string(late_index) + "th probe packet",
-                  "probe 5 Mb/s, contender Poisson 4 Mb/s, " +
-                      std::to_string(reps) + " repetitions");
+  b.announce("Figure 7",
+             "access-delay histograms of the 1st and " +
+                 std::to_string(late_index) + "th probe packet",
+             "probe " + util::Table::format(probe_mbps) +
+                 " Mb/s, contender Poisson " +
+                 util::Table::format(cross_mbps) + " Mb/s, " +
+                 std::to_string(reps) + " repetitions");
 
-  const int late = std::min(late_index - 1, train - 1);
+  const int late = late_index - 1;
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;           // raw samples of packet 1 ...
   tcfg.raw_indices = {late};    // ... plus just the late index
-  exp::Progress progress(campaign.total_repetitions(), "fig07",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto cells = b.run(campaign, tcfg);
   const exp::TrainCellStats& cell = cells.front();
 
   stats::Histogram first(0.0, 12e-3, bins);
@@ -61,23 +57,22 @@ int run(int argc, char** argv) {
     late_hist.add(d);
   }
 
-  util::Table table({"delay_ms", "freq_packet_1", "freq_packet_late"});
-  std::vector<std::vector<double>> rows;
-  for (int b = 0; b < first.bins(); ++b) {
-    rows.push_back({first.bin_center(b) * 1e3, first.frequency(b),
-                    late_hist.frequency(b)});
-    table.add_row(rows.back());
+  b.columns({"delay_ms", "freq_packet_1", "freq_packet_late"});
+  for (int i = 0; i < first.bins(); ++i) {
+    b.row({first.bin_center(i) * 1e3, first.frequency(i),
+           late_hist.frequency(i)});
   }
-  bench::emit(table, args, rows);
+  b.emit();
   std::cout << "# mode shift: packet 1 at "
             << util::Table::format(first.mode() * 1e3, 3)
             << " ms vs packet " << late_index << " at "
             << util::Table::format(late_hist.mode() * 1e3, 3) << " ms\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("fig07_delay_histograms", run, argc, argv);
+  return bench::main("fig07_delay_histograms", run, argc, argv, "reps",
+                     "train", "late-index", "bins", "seed", "cross-mbps",
+                     "probe-mbps");
 }

@@ -15,49 +15,42 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "show", "seed", "cross-mbps",
-                      "probe-mbps", "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(1200));
   const int train = args.get("train", 600);
-  const int show = args.get("show", 100);
+  const int show = bench::train_index_flag(args, "show", 100, 0, train);
+  const double cross_mbps = args.get("cross-mbps", 2.0);
+  const double probe_mbps = args.get("probe-mbps", 8.0);
 
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 8));
-  spec.scenarios = {bench::poisson_scenario(args.get("cross-mbps", 2.0))};
+  spec.scenarios = {bench::poisson_scenario(cross_mbps)};
   spec.train_lengths = {train};
-  spec.probe_mbps = {args.get("probe-mbps", 8.0)};
+  spec.probe_mbps = {probe_mbps};
   spec.repetitions = reps;
   const exp::Campaign campaign(spec);
 
-  bench::announce("Figure 8",
-                  "KS transient detection + contending queue build-up",
-                  "probe 8 Mb/s, contender Poisson 2 Mb/s, trains of " +
-                      std::to_string(train) + ", " + std::to_string(reps) +
-                      " repetitions");
+  b.announce("Figure 8", "KS transient detection + contending queue build-up",
+             "probe " + util::Table::format(probe_mbps) +
+                 " Mb/s, contender Poisson " +
+                 util::Table::format(cross_mbps) + " Mb/s, trains of " +
+                 std::to_string(train) + ", " + std::to_string(reps) +
+                 " repetitions");
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = show;
   tcfg.sample_contender_queue = true;
   tcfg.queue_prefix = show;
-  exp::Progress progress(campaign.total_repetitions(), "fig08",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto cells = b.run(campaign, tcfg);
   const exp::TrainCellStats& cell = cells.front();
 
-  util::Table table(
-      {"packet", "ks_value", "ks_threshold_95", "mean_contender_queue"});
-  std::vector<std::vector<double>> rows;
+  b.columns({"packet", "ks_value", "ks_threshold_95", "mean_contender_queue"});
   for (int i = 0; i < show; ++i) {
-    rows.push_back({static_cast<double>(i + 1), cell.analyzer.ks_at(i),
-                    cell.analyzer.ks_threshold_at(i),
-                    cell.queue_at_arrival[static_cast<std::size_t>(i)].mean()});
-    table.add_row(rows.back());
+    b.row({static_cast<double>(i + 1), cell.analyzer.ks_at(i),
+           cell.analyzer.ks_threshold_at(i),
+           cell.queue_at_arrival[static_cast<std::size_t>(i)].mean()});
   }
-  bench::emit(table, args, rows);
+  b.emit();
 
   // Where does the KS statistic first dip under the 95% line?
   int settle = show;
@@ -69,11 +62,11 @@ int run(int argc, char** argv) {
   }
   std::cout << "# KS statistic first under the 95% threshold at packet "
             << settle << " (paper: ~10 for this scenario)\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("fig08_ks_transient_queue", run, argc, argv);
+  return bench::main("fig08_ks_transient_queue", run, argc, argv, "reps",
+                     "train", "show", "seed", "cross-mbps", "probe-mbps");
 }

@@ -14,14 +14,11 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "show", "seed", "short-preamble",
-                      "warmup-ms", "load-scale", "probe-mbps", "csv",
-                      "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(800));
   const int train = args.get("train", 200);
-  const int show = args.get("show", 50);
+  const int show = bench::train_index_flag(args, "show", 50, 0, train);
+  const double probe_mbps = args.get("probe-mbps", 0.5);
 
   exp::Cell cell;
   cell.repetitions = reps;
@@ -40,47 +37,45 @@ int run(int argc, char** argv) {
   // MAC details NS2 and we model slightly differently; 1.05-1.10
   // reproduces the paper's tens-of-packets transient.
   const double load = args.get("load-scale", 1.0);
-  cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(0.1 * load), 40));
-  cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(0.5 * load), 576));
-  cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(0.75 * load), 1000));
-  cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(2.0 * load), 1500));
+  std::string flows;
+  for (const auto& [bytes, mbps] : {std::pair{40, 0.1}, std::pair{576, 0.5},
+                                    std::pair{1000, 0.75},
+                                    std::pair{1500, 2.0}}) {
+    cfg.contenders.push_back(
+        core::StationSpec::poisson(BitRate::mbps(mbps * load), bytes));
+    flows += (flows.empty() ? "" : ", ") + std::to_string(bytes) + "B@" +
+             util::Table::format(mbps * load);
+  }
   cell.train.n = train;
   cell.train.size_bytes = 1500;
-  cell.train.gap = BitRate::mbps(args.get("probe-mbps", 0.5)).gap_for(1500);
+  cell.train.gap = BitRate::mbps(probe_mbps).gap_for(1500);
   // The one cell's scenario seed is the campaign seed.
   const exp::Campaign campaign(
       {std::move(cell)}, static_cast<std::uint64_t>(args.get("seed", 9)));
 
-  bench::announce(
-      "Figure 9", "KS transient detection, complex multi-station case",
-      "4 contenders: 40B@0.1, 576B@0.5, 1000B@0.75, 1500B@2 Mb/s; probe "
-      "0.5 Mb/s; " +
-          std::to_string(reps) + " repetitions");
+  b.announce("Figure 9", "KS transient detection, complex multi-station case",
+             "4 contenders: " + flows + " Mb/s; probe " +
+                 util::Table::format(probe_mbps) + " Mb/s; " +
+                 std::to_string(reps) + " repetitions");
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = show;
-  exp::Progress progress(campaign.total_repetitions(), "fig09",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto cells = b.run(campaign, tcfg);
   const core::TransientAnalyzer& ta = cells.front().analyzer;
 
-  util::Table table({"packet", "ks_value", "ks_threshold_95"});
-  std::vector<std::vector<double>> rows;
+  b.columns({"packet", "ks_value", "ks_threshold_95"});
   for (int i = 0; i < show; ++i) {
-    rows.push_back(
-        {static_cast<double>(i + 1), ta.ks_at(i), ta.ks_threshold_at(i)});
-    table.add_row(rows.back());
+    b.row({static_cast<double>(i + 1), ta.ks_at(i), ta.ks_threshold_at(i)});
   }
-  bench::emit(table, args, rows);
+  b.emit();
   std::cout << "# transient length (0.1 tolerance): "
             << ta.transient_length(0.1) << " packets\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("fig09_ks_complex", run, argc, argv);
+  return bench::main("fig09_ks_complex", run, argc, argv, "reps", "train",
+                     "show", "seed", "short-preamble", "warmup-ms",
+                     "load-scale", "probe-mbps");
 }

@@ -15,26 +15,19 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"reps", "train", "probe-erlang", "seed", "csv", "threads",
-                      "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int reps = args.get("reps", util::scaled_reps(500));
   const int train = args.get("train", 400);
   const double probe_load = args.get("probe-erlang", 1.0);
 
   const mac::PhyParams phy = mac::PhyParams::dot11b_short();
-  bench::announce(
+  b.announce(
       "Figure 10", "transient duration vs offered cross-traffic load",
       "probe offered load " + util::Table::format(probe_load) +
           " Erlang; cross load swept 0.05..1.0; tolerances 0.1 / 0.01; " +
           std::to_string(reps) + " repetitions per load");
 
-  std::vector<double> loads;
-  for (double load = 0.05; load <= 1.0 + 1e-9; load += 0.05) {
-    loads.push_back(load);
-  }
-
+  const std::vector<double> loads = bench::grid(0.05, 1.0, 0.05);
   exp::SweepSpec spec;
   spec.campaign_seed = static_cast<std::uint64_t>(args.get("seed", 10));
   spec.scenarios.clear();
@@ -49,28 +42,20 @@ int run(int argc, char** argv) {
 
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;
-  exp::Progress progress(campaign.total_repetitions(), "fig10",
-                         bench::progress_enabled(args));
-  const exp::Runner runner = bench::runner_from(args, &progress);
-  const auto cells = exp::run_train_campaign(campaign, tcfg, runner);
-  progress.finish();
+  const auto cells = b.run(campaign, tcfg);
 
-  util::Table table(
-      {"cross_load_erlang", "transient_tol_0.1", "transient_tol_0.01"});
-  std::vector<std::vector<double>> rows;
+  b.columns({"cross_load_erlang", "transient_tol_0.1", "transient_tol_0.01"});
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    const exp::TrainCellStats& cell = cells[i];
-    rows.push_back(
-        {loads[i], static_cast<double>(cell.analyzer.transient_length(0.1)),
-         static_cast<double>(cell.analyzer.transient_length(0.01))});
-    table.add_row(rows.back());
+    const core::TransientAnalyzer& ta = cells[i].analyzer;
+    b.row({loads[i], static_cast<double>(ta.transient_length(0.1)),
+           static_cast<double>(ta.transient_length(0.01))});
   }
-  bench::emit(table, args, rows);
-  return 0;
+  b.emit();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("fig10_transient_duration", run, argc, argv);
+  return bench::main("fig10_transient_duration", run, argc, argv, "reps",
+                     "train", "probe-erlang", "seed");
 }

@@ -3,6 +3,9 @@
 // inter-arrival series, against the steady-state response.  The
 // truncated measurement approaches the steady-state curve without
 // sending more probes (Section 7.4).
+//
+// Every input rate is a runner job (--threads N) with its own fresh
+// transport, seeded from the scenario seed alone.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -13,30 +16,29 @@ using namespace csmabw;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  args.require_known({"trains", "train", "cross-mbps", "max-mbps", "seed",
-                      "csv", "threads", "progress"});
+void run(bench::Bench& b, const util::Args& args) {
   const int trains = args.get("trains", util::scaled_reps(200));
   const int n = args.get("train", 20);
   const double cross_mbps = args.get("cross-mbps", 4.0);
+  const std::vector<double> rates =
+      bench::grid(1.0, args.get("max-mbps", 10.0), 1.0);
 
   core::ScenarioConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(args.get("seed", 17));
   cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(cross_mbps), 1500));
-  core::Scenario sc(cfg);
+  const core::Scenario sc(cfg);
 
-  bench::announce("Figure 17", "MSER-2 corrected dispersion measurements",
-                  "contender Poisson " + util::Table::format(cross_mbps) +
-                      " Mb/s; trains of " + std::to_string(n) + ", " +
-                      std::to_string(trains) + " trains per rate");
+  b.announce("Figure 17", "MSER-2 corrected dispersion measurements",
+             "contender Poisson " + util::Table::format(cross_mbps) +
+                 " Mb/s; trains of " + std::to_string(n) + ", " +
+                 std::to_string(trains) + " trains per rate");
 
-  util::Table table({"input_mbps", "steady_state_mbps", "train20_mbps",
-                     "train20_mser2_mbps", "truncated_gaps"});
-  std::vector<std::vector<double>> rows;
-  for (double ri = 1.0; ri <= args.get("max-mbps", 10.0) + 1e-9; ri += 1.0) {
-    const auto steady = sc.run_steady_state(
-        BitRate::mbps(ri), 1500, TimeNs::sec(9), TimeNs::sec(1));
+  b.columns({"input_mbps", "steady_state_mbps", "train20_mbps",
+             "train20_mser2_mbps", "truncated_gaps"});
+  b.map_rows(rates.size(), [&](std::size_t i) {
+    const double ri = rates[i];
+    const auto steady = sc.run_steady_state(BitRate::mbps(ri), 1500,
+                                            TimeNs::sec(9), TimeNs::sec(1));
 
     traffic::TrainSpec spec;
     spec.n = n;
@@ -51,20 +53,19 @@ int run(int argc, char** argv) {
       }
     }
     const core::CorrectedGap g = corrector.corrected(2);
-    rows.push_back({ri, steady.probe.to_mbps(),
-                    1500 * 8.0 / g.raw_gap_s / 1e6,
-                    1500 * 8.0 / g.corrected_gap_s / 1e6,
-                    static_cast<double>(g.truncated)});
-    table.add_row(rows.back());
-  }
-  bench::emit(table, args, rows);
+    return std::vector<double>{ri, steady.probe.to_mbps(),
+                               1500 * 8.0 / g.raw_gap_s / 1e6,
+                               1500 * 8.0 / g.corrected_gap_s / 1e6,
+                               static_cast<double>(g.truncated)};
+  });
+  b.emit();
   std::cout << "# expect: mser2 column closer to steady_state than the raw "
                "train20 column above the fair share\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_tool("fig17_mser_correction", run, argc, argv);
+  return bench::main("fig17_mser_correction", run, argc, argv, "trains",
+                     "train", "cross-mbps", "max-mbps", "seed");
 }

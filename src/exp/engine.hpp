@@ -172,16 +172,4 @@ struct MethodCampaignConfig {
     const Campaign& campaign, const MethodCampaignConfig& cfg,
     const Runner& runner, const serve::CampaignServeOptions& io = {});
 
-/// Runs an arbitrary per-cell function across the pool and collects the
-/// results by cell index (for campaigns whose cells are not train
-/// ensembles, e.g. steady-state or packet-pair sweeps).
-template <typename F>
-[[nodiscard]] auto run_cells(const Campaign& campaign, const Runner& runner,
-                             F&& fn) -> std::vector<decltype(fn(
-    std::declval<const Cell&>()))> {
-  return runner.map(campaign.size(), [&](int i) {
-    return fn(campaign.cells()[static_cast<std::size_t>(i)]);
-  });
-}
-
 }  // namespace csmabw::exp

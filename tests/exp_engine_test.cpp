@@ -254,19 +254,6 @@ TEST(TrainCellStats, MergeInShardOrderEqualsTheEngineCell) {
   }
 }
 
-TEST(RunCells, MapsArbitraryPerCellWork) {
-  const Campaign campaign(small_spec());
-  RunnerOptions opts;
-  opts.threads = 2;
-  const Runner runner(opts);
-  const auto rates = run_cells(campaign, runner, [](const Cell& cell) {
-    return cell.cross_mbps * 2.0;
-  });
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_DOUBLE_EQ(rates[0], 4.0);
-  EXPECT_DOUBLE_EQ(rates[1], 8.0);
-}
-
 TEST(EnsembleSeries, MergeAppendsShardsInOrder) {
   stats::EnsembleSeries a(3, 2, 1);
   stats::EnsembleSeries b(3, 2, 1);
