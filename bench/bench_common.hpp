@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -315,7 +316,8 @@ inline std::vector<double> short_train_row(const core::Scenario& sc,
 /// The transient summary of a train campaign over topologies: the cell
 /// names, one row per cell keyed by `keys` (mirrored to --csv), then the
 /// mean access delay at each train position in `positions` below the
-/// train length, one column per cell after `position_columns[0]`.
+/// train length (each printed once), one column per cell after
+/// `position_columns[0]`.
 inline void transient_tables(Bench& bench, const exp::Campaign& campaign,
                              const std::vector<exp::TrainCellStats>& results,
                              const std::string& key_column,
@@ -343,8 +345,9 @@ inline void transient_tables(Bench& bench, const exp::Campaign& campaign,
 
   const int train = campaign.cells().front().train.n;
   util::Table table(std::move(position_columns));
+  std::set<int> printed;
   for (int k : positions) {
-    if (k >= train) {
+    if (k >= train || !printed.insert(k).second) {
       continue;
     }
     std::vector<double> row{static_cast<double>(k)};

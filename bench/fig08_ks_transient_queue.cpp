@@ -43,19 +43,21 @@ void run(bench::Bench& b, const util::Args& args) {
   tcfg.queue_prefix = show;
   const auto cells = b.run(campaign, tcfg);
   const exp::TrainCellStats& cell = cells.front();
+  const std::vector<double> ks = cell.analyzer.ks_curve();
 
   b.columns({"packet", "ks_value", "ks_threshold_95", "mean_contender_queue"});
   for (int i = 0; i < show; ++i) {
-    b.row({static_cast<double>(i + 1), cell.analyzer.ks_at(i),
+    const auto k = static_cast<std::size_t>(i);
+    b.row({static_cast<double>(i + 1), ks[k],
            cell.analyzer.ks_threshold_at(i),
-           cell.queue_at_arrival[static_cast<std::size_t>(i)].mean()});
+           cell.queue_at_arrival[k].mean()});
   }
   b.emit();
 
   // Where does the KS statistic first dip under the 95% line?
   int settle = show;
   for (int i = 0; i < show; ++i) {
-    if (cell.analyzer.ks_at(i) <= cell.analyzer.ks_threshold_at(i)) {
+    if (ks[static_cast<std::size_t>(i)] <= cell.analyzer.ks_threshold_at(i)) {
       settle = i + 1;
       break;
     }

@@ -62,10 +62,12 @@ void run(bench::Bench& b, const util::Args& args) {
   tcfg.ks_prefix = show;
   const auto cells = b.run(campaign, tcfg);
   const core::TransientAnalyzer& ta = cells.front().analyzer;
+  const std::vector<double> ks = ta.ks_curve();
 
   b.columns({"packet", "ks_value", "ks_threshold_95"});
   for (int i = 0; i < show; ++i) {
-    b.row({static_cast<double>(i + 1), ta.ks_at(i), ta.ks_threshold_at(i)});
+    b.row({static_cast<double>(i + 1), ks[static_cast<std::size_t>(i)],
+           ta.ks_threshold_at(i)});
   }
   b.emit();
   std::cout << "# transient length (0.1 tolerance): "

@@ -1,10 +1,11 @@
 // google-benchmark microbenchmarks of the library's hot paths: the
 // discrete-event engine, the DCF simulator and its medium (complete-graph
 // and sparse-graph bookkeeping), the per-repetition cell build, the
-// probe-train repetition, the exp:: campaign engine, the KS statistic,
-// MSER, the trace-driven FIFO queue, and the event-trace codec (write +
-// mapped-scan throughput).  These bound the cost of scaling the figure
-// ensembles up to the paper's 25k-70k repetitions.
+// probe-train repetition, the exp:: campaign engine, the KS statistic
+// and a fig08-shaped KS curve, MSER, the trace-driven FIFO queue, and
+// the event-trace codec (write + mapped-scan throughput).  These bound
+// the cost of scaling the figure ensembles up to the paper's 25k-70k
+// repetitions.
 //
 // Results are additionally written as google-benchmark JSON to
 // BENCH_microbench.json (override with --benchmark_out=PATH) so CI and
@@ -24,6 +25,7 @@
 #include <filesystem>
 
 #include "core/scenario.hpp"
+#include "core/transient.hpp"
 #include "exp/engine.hpp"
 #include "mac/wlan.hpp"
 #include "obs/metrics.hpp"
@@ -442,6 +444,46 @@ void BM_KsStatistic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_KsStatistic)->Arg(1000)->Arg(10000);
+
+/// The KS curve at fig08's shape: 1,200 repetitions of 600-packet trains,
+/// a 300-packet steady tail (a 360,000-value pool) and KS over the first
+/// 100 packets.  Delays sit on the 20 us slot grid above an atom at the
+/// uncontended delay, so the pool holds only 9,382 distinct values, as
+/// fig08's does.  Items are indices evaluated.
+void BM_TransientKsCurve(benchmark::State& state) {
+  constexpr int kTrain = 600;
+  constexpr int kPrefix = 100;
+  core::TransientConfig cfg;
+  cfg.train_length = kTrain;
+  cfg.ks_prefix = kPrefix;
+  cfg.steady_tail = 300;
+  core::TransientAnalyzer analyzer(cfg);
+  stats::Rng rng(8);
+  std::vector<double> delays(kTrain);
+  for (int rep = 0; rep < 1200; ++rep) {
+    for (int i = 0; i < kTrain; ++i) {
+      // Early packets find the channel idle more often.
+      const bool contended = rng.uniform01() < (i < 10 ? 0.3 : 0.7);
+      const int slots = contended ? rng.uniform_int(0, 9381) : 0;
+      delays[static_cast<std::size_t>(i)] = 1.25e-3 + 20e-6 * slots;
+    }
+    analyzer.add_repetition(delays);
+  }
+  std::size_t points = 0;
+  for (auto _ : state) {
+    const std::vector<double> curve = analyzer.ks_curve();
+    points = curve.size();
+    benchmark::DoNotOptimize(curve.data());
+  }
+  if (points != kPrefix) {
+    state.SkipWithError(("evaluated " + std::to_string(points) +
+                         " indices, the row declares " +
+                         std::to_string(kPrefix))
+                            .c_str());
+  }
+  state.SetItemsProcessed(state.iterations() * kPrefix);
+}
+BENCHMARK(BM_TransientKsCurve);
 
 void BM_Mser2(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

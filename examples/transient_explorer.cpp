@@ -63,11 +63,12 @@ int run(int argc, char** argv) {
     corrector.add_train(recv);
   }
 
+  const std::vector<double> ks = ta.ks_curve();
   util::Table table({"packet", "mean_delay_ms", "vs_steady", "ks", "ks_95"});
   for (int i = 0; i < tc.ks_prefix; ++i) {
     table.add_row({static_cast<double>(i + 1), ta.mean_at(i) * 1e3,
-                   ta.mean_at(i) / ta.steady_mean(), ta.ks_at(i),
-                   ta.ks_threshold_at(i)});
+                   ta.mean_at(i) / ta.steady_mean(),
+                   ks[static_cast<std::size_t>(i)], ta.ks_threshold_at(i)});
   }
   table.print(std::cout);
 

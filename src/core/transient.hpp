@@ -3,7 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "stats/ensemble.hpp"
+#include "stats/summary.hpp"
 
 namespace csmabw::core {
 
@@ -17,10 +17,13 @@ struct TransientConfig {
   /// The pooled steady-state reference uses the last `steady_tail`
   /// indices of every repetition (the paper pools the last 500 packets).
   int steady_tail = 500;
-  /// Additional individual indices (>= ks_prefix) retaining raw samples
-  /// — sparse retention for histograms deep into the train (Fig 7's
-  /// 500th packet) without paying for the whole prefix.
+  /// Additional individual indices retaining raw samples — sparse
+  /// retention for histograms deep into the train (Fig 7's 500th packet)
+  /// without paying for the whole prefix.  The analyzer sorts and
+  /// deduplicates them and drops those inside the prefix.
   std::vector<int> extra_raw_indices;
+
+  bool operator==(const TransientConfig&) const = default;
 };
 
 /// Accumulates repeated probing sequences and characterizes the
@@ -34,7 +37,10 @@ struct TransientConfig {
 /// length (Fig 10).
 class TransientAnalyzer {
  public:
-  explicit TransientAnalyzer(const TransientConfig& cfg);
+  /// Validates `cfg` (train_length >= 2, ks_prefix within [0,
+  /// train_length], steady_tail within [1, train_length], extra indices
+  /// below train_length) and keeps it normalized.
+  explicit TransientAnalyzer(TransientConfig cfg);
 
   /// Adds one repetition: the access delays (seconds) of packets
   /// 1..train_length of a probing sequence, in sequence order.  All
@@ -42,36 +48,37 @@ class TransientAnalyzer {
   /// before calling).
   void add_repetition(std::span<const double> access_delays_s);
 
-  /// Merges another analyzer accumulated under an identical
-  /// configuration (parallel ensemble shards; see exp::Runner).
+  /// Merges another analyzer accumulated under the same configuration.
+  /// Raw samples and the steady pool are appended in call order, so
+  /// merging shards of repetitions [0,k), [k,2k), ... in order reproduces
+  /// the sample order of a serial accumulation (see exp::Runner).
   void merge(const TransientAnalyzer& other);
 
-  [[nodiscard]] int repetitions() const { return series_.repetitions(); }
+  [[nodiscard]] int repetitions() const { return reps_; }
+  /// The normalized configuration.
   [[nodiscard]] const TransientConfig& config() const { return cfg_; }
 
   /// Ensemble mean access delay of packet index i (0-based).
-  [[nodiscard]] double mean_at(int i) const { return series_.mean_at(i); }
-  [[nodiscard]] std::vector<double> mean_curve() const {
-    return series_.means();
-  }
+  [[nodiscard]] double mean_at(int i) const;
+  [[nodiscard]] std::vector<double> mean_curve() const;
   /// Mean access delay over the pooled steady-state tail.
-  [[nodiscard]] double steady_mean() const { return series_.steady_mean(); }
+  [[nodiscard]] double steady_mean() const { return steady_stat_.mean(); }
 
   /// Raw ensemble sample of index i (i < ks_prefix or listed in
-  /// extra_raw_indices) — for histograms.
-  [[nodiscard]] std::span<const double> sample_at(int i) const {
-    return series_.raw_at(i);
-  }
+  /// extra_raw_indices) in repetition order — for histograms.
+  [[nodiscard]] std::span<const double> sample_at(int i) const;
+  /// The pooled steady-state sample, in repetition order.
   [[nodiscard]] std::span<const double> steady_sample() const {
-    return series_.steady_pool();
+    return steady_pool_;
   }
 
   /// KS statistic of index i's ensemble distribution vs. the pooled
-  /// steady-state distribution (i < ks_prefix).
+  /// steady-state distribution.
   [[nodiscard]] double ks_at(int i) const;
   /// 95% KS rejection threshold for index i's sample sizes.
   [[nodiscard]] double ks_threshold_at(int i) const;
-  /// KS statistics for indices [0, ks_prefix).
+  /// KS statistics for indices [0, ks_prefix), bit-equal to ks_at(i);
+  /// sorts the steady pool once for the whole curve.
   [[nodiscard]] std::vector<double> ks_curve() const;
 
   /// Transient length (Section 4.1): the first index whose ensemble mean
@@ -83,7 +90,12 @@ class TransientAnalyzer {
 
  private:
   TransientConfig cfg_;
-  stats::EnsembleSeries series_;
+  int reps_ = 0;
+  std::vector<stats::RunningStat> per_index_;
+  /// Raw samples of the prefix indices, then of the extra indices.
+  std::vector<std::vector<double>> samples_;
+  std::vector<double> steady_pool_;
+  stats::RunningStat steady_stat_;
 };
 
 }  // namespace csmabw::core

@@ -8,106 +8,67 @@
 
 namespace csmabw::stats {
 
-namespace detail {
-
-double step_ecdf(std::span<const double> sorted, double x) {
-  const auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
-  return static_cast<double>(it - sorted.begin()) /
-         static_cast<double>(sorted.size());
-}
-
-double step_ecdf_left(std::span<const double> sorted, double x) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
-  return static_cast<double>(it - sorted.begin()) /
-         static_cast<double>(sorted.size());
-}
-
-double interpolated_ecdf(std::span<const double> sorted, double x) {
-  const auto n = static_cast<double>(sorted.size());
-  if (x < sorted.front()) {
-    return 0.0;
-  }
-  if (x >= sorted.back()) {
-    return 1.0;
-  }
-  // Find k such that sorted[k-1] <= x < sorted[k].  Repeated values
-  // (atoms) are preserved: the ECDF jumps across the whole run.
-  const auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
-  const auto k = static_cast<std::size_t>(it - sorted.begin());  // >= 1
-  const double x0 = sorted[k - 1];
-  const double x1 = sorted[k];
-  const double f0 = static_cast<double>(k) / n;
-  const double f1 = static_cast<double>(k + 1) / n;
-  if (x == x0) {
-    return f0;
-  }
-  return f0 + (f1 - f0) * (x - x0) / (x1 - x0);
-}
-
-double interpolated_ecdf_left(std::span<const double> sorted, double x) {
-  const auto n = static_cast<double>(sorted.size());
-  if (x <= sorted.front()) {
-    return 0.0;
-  }
-  if (x > sorted.back()) {
-    return 1.0;
-  }
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
-  if (it != sorted.end() && *it == x) {
-    // Left limit at a sample point: the segment [sorted[j-1], sorted[j])
-    // ramps up to (j + 1)/n just below the first occurrence at index j
-    // (j >= 1 because x > sorted.front()).
-    const auto j = static_cast<std::size_t>(it - sorted.begin());
-    return static_cast<double>(j + 1) / n;
-  }
-  return interpolated_ecdf(sorted, x);  // continuous away from samples
-}
-
-}  // namespace detail
-
 double ks_statistic(std::span<const double> sample,
                     std::span<const double> reference) {
-  CSMABW_REQUIRE(!sample.empty(), "KS: empty sample");
-  CSMABW_REQUIRE(!reference.empty(), "KS: empty reference");
-
   std::vector<double> a(sample.begin(), sample.end());
   std::vector<double> b(reference.begin(), reference.end());
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
+  return ks_statistic_sorted(a, b);
+}
 
+double ks_statistic_sorted(std::span<const double> a,
+                           std::span<const double> b) {
+  CSMABW_REQUIRE(!a.empty(), "KS: empty sample");
+  CSMABW_REQUIRE(!b.empty(), "KS: empty reference");
   const auto na = static_cast<double>(a.size());
+  const auto nb = static_cast<double>(b.size());
   double d = 0.0;
 
-  // Compare right-continuous values with right-continuous values and
-  // left limits with left limits, per *distinct* value: both
-  // distributions may carry atoms (e.g. the deterministic DIFS + airtime
-  // delay of an uncontended transmission); the intermediate levels
-  // inside a jump belong to neither CDF and must not be compared.
-  for (std::size_t k = 0; k < a.size();) {
-    std::size_t run_end = k;
-    while (run_end < a.size() && a[run_end] == a[k]) {
-      ++run_end;
+  // Walk the distinct values x of both samples in increasing order;
+  // a[ia, ia_end) and b[ib, ib_end) are the runs equal to x.  Compare
+  // right-continuous values with right-continuous values and left limits
+  // with left limits: both distributions may carry atoms (e.g. the
+  // deterministic DIFS + airtime delay of an uncontended transmission);
+  // the intermediate levels inside a jump belong to neither CDF and must
+  // not be compared.
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  while (ia < a.size() || ib < b.size()) {
+    const double x =
+        ib == b.size() || (ia < a.size() && a[ia] < b[ib]) ? a[ia] : b[ib];
+    std::size_t ia_end = ia;
+    while (ia_end < a.size() && a[ia_end] == x) {
+      ++ia_end;
     }
-    const double fa_left = static_cast<double>(k) / na;
-    const double fa_right = static_cast<double>(run_end) / na;
-    d = std::max(d, std::abs(fa_right - detail::interpolated_ecdf(b, a[k])));
-    d = std::max(d,
-                 std::abs(fa_left - detail::interpolated_ecdf_left(b, a[k])));
-    k = run_end;
-  }
-  // The piecewise-linear reference can also pull away from the flat step
-  // segments at its own kinks.
-  for (std::size_t k = 0; k < b.size();) {
-    std::size_t run_end = k;
-    while (run_end < b.size() && b[run_end] == b[k]) {
-      ++run_end;
+    std::size_t ib_end = ib;
+    while (ib_end < b.size() && b[ib_end] == x) {
+      ++ib_end;
     }
-    const double x = b[k];
-    d = std::max(
-        d, std::abs(detail::step_ecdf(a, x) - detail::interpolated_ecdf(b, x)));
-    d = std::max(d, std::abs(detail::step_ecdf_left(a, x) -
-                             detail::interpolated_ecdf_left(b, x)));
-    k = run_end;
+
+    // The interpolated reference ECDF at x and its left limit.
+    double ref = 0.0;
+    double ref_left = 0.0;
+    if (ib_end > ib) {
+      // A reference value: the ECDF jumps over the whole run to
+      // ib_end / m; the segment below ramps up to (ib + 1) / m.
+      ref = static_cast<double>(ib_end) / nb;
+      ref_left = ib == 0 ? 0.0 : static_cast<double>(ib + 1) / nb;
+    } else if (ib == b.size()) {
+      ref = ref_left = 1.0;  // right of the reference
+    } else if (ib > 0) {
+      // Strictly between b[ib - 1] and b[ib]: continuous.
+      const double x0 = b[ib - 1];
+      const double x1 = b[ib];
+      const double f0 = static_cast<double>(ib) / nb;
+      const double f1 = static_cast<double>(ib + 1) / nb;
+      ref = ref_left = f0 + (f1 - f0) * (x - x0) / (x1 - x0);
+    }  // else left of the reference: 0
+
+    d = std::max(d, std::abs(static_cast<double>(ia_end) / na - ref));
+    d = std::max(d, std::abs(static_cast<double>(ia) / na - ref_left));
+    ia = ia_end;
+    ib = ib_end;
   }
   return d;
 }

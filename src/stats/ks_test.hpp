@@ -10,35 +10,28 @@ namespace csmabw::stats {
 /// empirical *discrete* distributions, one of them is converted to a
 /// continuous distribution by linear interpolation of its ECDF.  Here the
 /// second sample (`reference`, typically the pooled steady-state delays)
-/// is interpolated; the statistic is the supremum over the real line of
-/// |F_sample(x) - F_reference(x)|, which for a step function vs. a
-/// piecewise-linear function is attained at a sample jump or a reference
-/// kink, so we evaluate only those points.
+/// is interpolated: F(x_(k)) = k / m at its k-th order statistic, linear
+/// in between, 0 left of the reference and 1 right of it; repeated
+/// values (atoms) stay jumps.  The statistic is the supremum over the
+/// real line of |F_sample(x) - F_reference(x)|, which for a step function
+/// vs. a piecewise-linear function is attained at a sample jump or a
+/// reference kink, so only those points are evaluated.
 ///
-/// Both samples must be non-empty.  Inputs need not be sorted.
+/// Both samples must be non-empty.  Inputs need not be sorted: this
+/// sorts copies and calls ks_statistic_sorted.
 [[nodiscard]] double ks_statistic(std::span<const double> sample,
                                   std::span<const double> reference);
+
+/// ks_statistic of two samples already sorted ascending (not checked):
+/// one merge walk over the distinct values of both, O(n + m).
+[[nodiscard]] double ks_statistic_sorted(
+    std::span<const double> sorted_sample,
+    std::span<const double> sorted_reference);
 
 /// Large-sample two-sided KS rejection threshold at level `alpha`
 /// (default 0.05, the paper's 95% confidence line):
 ///   c(alpha) * sqrt((n + m) / (n * m)),  c(0.05) ~= 1.358.
 [[nodiscard]] double ks_threshold(std::size_t n, std::size_t m,
                                   double alpha = 0.05);
-
-namespace detail {
-/// ECDF of a *sorted* sample with linear interpolation between order
-/// statistics: F(x_(k)) = k / n (k = 1..n), F = 0 left of x_(1), linear in
-/// between, 1 right of x_(n).  Repeated sample values (atoms) stay as
-/// jumps.  Exposed for unit testing.
-[[nodiscard]] double interpolated_ecdf(std::span<const double> sorted,
-                                       double x);
-/// Left limit of interpolated_ecdf at x.
-[[nodiscard]] double interpolated_ecdf_left(std::span<const double> sorted,
-                                            double x);
-/// Right-continuous step ECDF of a *sorted* sample.
-[[nodiscard]] double step_ecdf(std::span<const double> sorted, double x);
-/// Left limit (strict fraction below x) of the step ECDF.
-[[nodiscard]] double step_ecdf_left(std::span<const double> sorted, double x);
-}  // namespace detail
 
 }  // namespace csmabw::stats

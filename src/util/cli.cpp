@@ -34,7 +34,7 @@ Args::Args(int argc, const char* const* argv) {
       options_.emplace(std::string(arg), std::string(argv[i + 1]));
       ++i;
     } else {
-      options_.emplace(std::string(arg), "true");
+      options_.emplace(std::string(arg), std::nullopt);
     }
   }
 }
@@ -43,9 +43,22 @@ bool Args::has(std::string_view name) const {
   return options_.find(name) != options_.end();
 }
 
-std::string Args::get(std::string_view name, std::string_view def) const {
+const std::string* Args::value(std::string_view name) const {
   const auto it = options_.find(name);
-  return it == options_.end() ? std::string(def) : it->second;
+  if (it == options_.end()) {
+    return nullptr;
+  }
+  if (!it->second) {
+    throw PreconditionError("option --" + std::string(name) +
+                            " needs a value (--" + std::string(name) +
+                            "=VALUE)");
+  }
+  return &*it->second;
+}
+
+std::string Args::get(std::string_view name, std::string_view def) const {
+  const std::string* v = value(name);
+  return v == nullptr ? std::string(def) : *v;
 }
 
 bool Args::get(std::string_view name, bool def) const {
@@ -53,7 +66,10 @@ bool Args::get(std::string_view name, bool def) const {
   if (it == options_.end()) {
     return def;
   }
-  const std::string& v = it->second;
+  if (!it->second) {
+    return true;  // a bare --name
+  }
+  const std::string& v = *it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
     return true;
   }
@@ -67,7 +83,7 @@ bool Args::get(std::string_view name, bool def) const {
 void Args::require_known(
     std::initializer_list<std::string_view> known) const {
   std::string unknown;
-  for (const auto& [name, value] : options_) {
+  for (const auto& [name, given] : options_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
       unknown += (unknown.empty() ? "--" : ", --") + name;
     }
@@ -123,34 +139,31 @@ std::vector<T> parse_list(std::string_view name, const std::string& value) {
 }  // namespace
 
 double Args::get(std::string_view name, double def) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? def : parse_flag<double>(name, it->second);
+  const std::string* v = value(name);
+  return v == nullptr ? def : parse_flag<double>(name, *v);
 }
 
 int Args::get(std::string_view name, int def) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? def : parse_flag<int>(name, it->second);
+  const std::string* v = value(name);
+  return v == nullptr ? def : parse_flag<int>(name, *v);
 }
 
 std::vector<double> Args::get_doubles(std::string_view name,
                                       std::vector<double> def) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? def : parse_list<double>(name, it->second);
+  const std::string* v = value(name);
+  return v == nullptr ? def : parse_list<double>(name, *v);
 }
 
 std::vector<int> Args::get_ints(std::string_view name,
                                 std::vector<int> def) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? def : parse_list<int>(name, it->second);
+  const std::string* v = value(name);
+  return v == nullptr ? def : parse_list<int>(name, *v);
 }
 
 std::vector<std::string> Args::get_strings(
     std::string_view name, std::vector<std::string> def) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) {
-    return def;
-  }
-  return split_list(name, it->second);
+  const std::string* v = value(name);
+  return v == nullptr ? def : split_list(name, *v);
 }
 
 int run_tool(const char* tool, int (*run)(int, char**), int argc,

@@ -2,6 +2,7 @@
 
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,9 +12,11 @@ namespace csmabw::util {
 /// Tiny command-line option parser for the bench and example binaries.
 ///
 /// Accepts `--name=value`, `--name value` and boolean `--name` forms.
-/// Any `--name` is accepted at parse time; a binary that lists its
-/// options calls `require_known()` so a misspelled one fails instead of
-/// being silently ignored.
+/// A bare `--name` reads only as a boolean (true): the string, number
+/// and list getters throw `option --name needs a value (--name=VALUE)`
+/// rather than read it as a value.  Any `--name` is accepted at parse
+/// time; a binary that lists its options calls `require_known()` so a
+/// misspelled one fails instead of being silently ignored.
 class Args {
  public:
   Args(int argc, const char* const* argv);
@@ -50,7 +53,12 @@ class Args {
   void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
-  std::map<std::string, std::string, std::less<>> options_;
+  /// The value of --`name`, or nullptr when absent; throws when the
+  /// option was given bare.
+  [[nodiscard]] const std::string* value(std::string_view name) const;
+
+  /// A bare `--name` maps to nullopt.
+  std::map<std::string, std::optional<std::string>, std::less<>> options_;
   std::vector<std::string> positional_;
 };
 

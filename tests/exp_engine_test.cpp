@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "stats/ensemble.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::exp {
@@ -252,46 +251,6 @@ TEST(TrainCellStats, MergeInShardOrderEqualsTheEngineCell) {
                 live.queue_at_arrival[i].mean());
     }
   }
-}
-
-TEST(EnsembleSeries, MergeAppendsShardsInOrder) {
-  stats::EnsembleSeries a(3, 2, 1);
-  stats::EnsembleSeries b(3, 2, 1);
-  a.add_repetition(std::vector<double>{1.0, 2.0, 3.0});
-  b.add_repetition(std::vector<double>{4.0, 5.0, 6.0});
-  b.add_repetition(std::vector<double>{7.0, 8.0, 9.0});
-  a.merge(b);
-  EXPECT_EQ(a.repetitions(), 3);
-  EXPECT_DOUBLE_EQ(a.mean_at(0), 4.0);
-  ASSERT_EQ(a.raw_at(0).size(), 3u);
-  EXPECT_DOUBLE_EQ(a.raw_at(0)[0], 1.0);
-  EXPECT_DOUBLE_EQ(a.raw_at(0)[1], 4.0);
-  EXPECT_DOUBLE_EQ(a.raw_at(0)[2], 7.0);
-  ASSERT_EQ(a.steady_pool().size(), 3u);
-  EXPECT_DOUBLE_EQ(a.steady_pool()[2], 9.0);
-
-  stats::EnsembleSeries mismatched(3, 1, 1);
-  EXPECT_THROW(a.merge(mismatched), util::PreconditionError);
-}
-
-TEST(EnsembleSeries, SparseExtraRawIndices) {
-  stats::EnsembleSeries a(5, 1, 1, {3});
-  stats::EnsembleSeries b(5, 1, 1, {3});
-  a.add_repetition(std::vector<double>{1, 2, 3, 4, 5});
-  b.add_repetition(std::vector<double>{6, 7, 8, 9, 10});
-  a.merge(b);
-  ASSERT_EQ(a.raw_at(3).size(), 2u);
-  EXPECT_DOUBLE_EQ(a.raw_at(3)[0], 4.0);
-  EXPECT_DOUBLE_EQ(a.raw_at(3)[1], 9.0);
-  EXPECT_THROW((void)a.raw_at(2), util::PreconditionError);
-
-  stats::EnsembleSeries mismatched(5, 1, 1, {4});
-  EXPECT_THROW(a.merge(mismatched), util::PreconditionError);
-  // Extra indices inside the prefix are redundant and dropped.
-  stats::EnsembleSeries redundant(5, 2, 1, {0, 3});
-  redundant.add_repetition(std::vector<double>{1, 2, 3, 4, 5});
-  EXPECT_EQ(redundant.raw_at(0).size(), 1u);
-  EXPECT_EQ(redundant.raw_at(3).size(), 1u);
 }
 
 TEST(TrainCampaign, SparseRawIndicesRetainLateSamples) {

@@ -11,21 +11,32 @@
 namespace csmabw::stats {
 namespace {
 
+// Hand-computed statistics.  The reference's interpolated ECDF is
+// F(x_(k)) = k/m at its k-th order statistic, linear in between, 0 left
+// of it and 1 right of it; the sample's ECDF is a right-continuous step.
+
 TEST(InterpolatedEcdf, KnownPoints) {
-  const std::vector<double> s{1.0, 2.0, 3.0, 4.0};  // sorted
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf(s, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf(s, 1.0), 0.25);
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf(s, 1.5), 0.375);  // midway
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf(s, 4.0), 1.0);
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf(s, 9.0), 1.0);
+  const std::vector<double> ref{1.0, 2.0, 3.0, 4.0};
+  // Midway between 1 and 2 the reference reads 0.375, where a single
+  // sample value jumps from 0 to 1.
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{1.5}, ref), 0.625);
+  // At its first value the reference reads 1/4.
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{1.0}, ref), 0.75);
+  // Both tails: 0 left of the reference, where the sample below already
+  // reads 1/5 (the maximum, also reached at 1 and below 4), and 1 right
+  // of it, where {2.5, 9} finishes its step (the maximum, 0.625, is the
+  // reference's 5/8 at 2.5 against 0 below it).
+  EXPECT_DOUBLE_EQ(
+      ks_statistic(std::vector<double>{0.5, 1.0, 2.0, 3.0, 4.0}, ref), 0.2);
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{2.5, 9.0}, ref), 0.625);
 }
 
 TEST(StepEcdf, RightContinuous) {
-  const std::vector<double> s{1.0, 2.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(detail::step_ecdf(s, 0.9), 0.0);
-  EXPECT_DOUBLE_EQ(detail::step_ecdf(s, 1.0), 0.25);
-  EXPECT_DOUBLE_EQ(detail::step_ecdf(s, 2.0), 0.75);
-  EXPECT_DOUBLE_EQ(detail::step_ecdf(s, 3.5), 1.0);
+  // At 0 the sample's step counts its whole run of three: 3/4 against
+  // the reference's 1/4.
+  const std::vector<double> ref{0.0, 1.0, 2.0, 3.0};
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{0.0, 0.0, 0.0, 3.0}, ref),
+                   0.5);
 }
 
 TEST(KsStatistic, IdenticalLargeSamplesNearZero) {
@@ -101,21 +112,25 @@ TEST(KsStatistic, AtomMassShiftDetected) {
 }
 
 TEST(InterpolatedEcdf, LeftLimitAtAtom) {
-  const std::vector<double> s{1.0, 2.0, 2.0, 2.0, 3.0};
-  // Just below the atom at 2.0 the ramp reaches (j+1)/n = 2/5.
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf_left(s, 2.0), 0.4);
-  // At the atom the full run counts: 4/5.
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf(s, 2.0), 0.8);
-  // Away from sample points both sides agree.
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf_left(s, 2.5),
-                   detail::interpolated_ecdf(s, 2.5));
-  EXPECT_DOUBLE_EQ(detail::interpolated_ecdf_left(s, 0.5), 0.0);
+  const std::vector<double> ref{1.0, 2.0, 2.0, 2.0, 3.0};
+  // Just below the atom at 2 the ramp reaches (j+1)/m = 2/5, where the
+  // sample {2} still reads 0.
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{2.0}, ref), 0.4);
+  // At the atom the reference jumps over the whole run to 4/5 and ramps
+  // on to 1 at 3, so it reads 0.9 at 2.5.
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{2.5}, ref), 0.9);
+  // The same atomic sample against itself keeps only the interpolation's
+  // 1/m lead below each value; comparing the sample's step at 2 (4/5)
+  // with the reference's left limit (2/5) would read 0.4.
+  EXPECT_DOUBLE_EQ(ks_statistic(ref, ref), 0.2);
 }
 
 TEST(StepEcdf, LeftLimit) {
-  const std::vector<double> s{1.0, 2.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(detail::step_ecdf_left(s, 2.0), 0.25);
-  EXPECT_DOUBLE_EQ(detail::step_ecdf(s, 2.0), 0.75);
+  // Just below 3 the sample's step has counted only its first value
+  // (1/4), while the reference has ramped up to 1.
+  const std::vector<double> ref{0.0, 1.0, 2.0, 3.0};
+  EXPECT_DOUBLE_EQ(ks_statistic(std::vector<double>{0.0, 3.0, 3.0, 3.0}, ref),
+                   0.75);
 }
 
 TEST(KsStatistic, RejectsEmpty) {

@@ -127,6 +127,27 @@ TEST(Args, BooleanFlags) {
   EXPECT_TRUE(args.get("absent", true));
 }
 
+TEST(Args, BareFlagHasNoValue) {
+  // A bare --name is a boolean; read as a string, a number or a list it
+  // must fail instead of yielding the word "true" (a --csv=PATH flag
+  // given bare would otherwise write a file named `true`).
+  const char* argv[] = {"prog", "--csv", "--reps", "--list", "--verbose"};
+  Args args(5, argv);
+  EXPECT_TRUE(args.has("csv"));
+  EXPECT_TRUE(args.get("verbose", false));
+  try {
+    (void)args.get("csv", "");
+    FAIL() << "a bare --csv read as a string";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "option --csv needs a value (--csv=VALUE)");
+  }
+  EXPECT_THROW((void)args.get("reps", 0), PreconditionError);
+  EXPECT_THROW((void)args.get("reps", 0.0), PreconditionError);
+  EXPECT_THROW((void)args.get_doubles("list", {}), PreconditionError);
+  EXPECT_THROW((void)args.get_ints("list", {}), PreconditionError);
+  EXPECT_THROW((void)args.get_strings("list", {}), PreconditionError);
+}
+
 TEST(Args, Positional) {
   const char* argv[] = {"prog", "input.txt", "--n=3"};
   Args args(3, argv);
