@@ -107,6 +107,18 @@ inline int train_index_flag(const util::Args& args, const std::string& name,
   return v;
 }
 
+/// Reads the integer flag --name (default `def`), a count, and rejects
+/// a value below `lo` before any simulation.
+inline int count_flag(const util::Args& args, const std::string& name,
+                      int def, int lo) {
+  const int v = args.get(name, def);
+  if (v < lo) {
+    throw util::PreconditionError("--" + name + "=" + std::to_string(v) +
+                                  " must be >= " + std::to_string(lo));
+  }
+  return v;
+}
+
 /// The observability surface of one bench run: `--metrics-out=FILE`
 /// enables the metrics registry and writes a csmabw-run-report JSON on
 /// finish(); `--prof=FILE` enables the span profiler and writes a

@@ -38,7 +38,7 @@ void run(bench::Bench& b, const util::Args& args) {
   const std::string rate = args.get("rate", std::string("50k"));
   // Lattice sides to sweep; the largest defaults to the 10k-station
   // cell of the issue (--side=32 makes a quick CI determinism check).
-  const int side = args.get("side", 100);
+  const int side = bench::count_flag(args, "side", 100, 2);
 
   std::vector<int> sides{3, 32};
   if (side > 32) {

@@ -18,7 +18,8 @@ using namespace csmabw;
 namespace {
 
 void run(bench::Bench& b, const util::Args& args) {
-  const int pairs = args.get("pairs", util::scaled_reps(200));
+  const int pairs =
+      bench::count_flag(args, "pairs", util::scaled_reps(200), 1);
   const mac::PhyParams phy = mac::PhyParams::dot11b_short();
   const double capacity = phy.saturation_rate(1500).to_mbps();
 

@@ -17,7 +17,8 @@ using namespace csmabw;
 namespace {
 
 void run(bench::Bench& b, const util::Args& args) {
-  const int trains = args.get("trains", util::scaled_reps(200));
+  const int trains =
+      bench::count_flag(args, "trains", util::scaled_reps(200), 1);
   const int n = args.get("train", 20);
   const double cross_mbps = args.get("cross-mbps", 4.0);
   const std::vector<double> rates =

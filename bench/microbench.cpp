@@ -71,28 +71,34 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
 
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
+/// Timer target for BM_EventQueueTimerRearm.
+struct RearmSink {
+  std::uint64_t fired = 0;
+  void fire() { ++fired; }
+};
+
+void BM_EventQueueTimerRearm(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
-    // Each schedule cancels its predecessor — the medium's pending-fire
-    // rearm pattern at its most adversarial.  Exercises handle
-    // invalidation, slot recycling and heap compaction.
-    sim::EventHandle prev;
+    RearmSink sink;
+    const sim::TimerId t = sim.add_timer<&RearmSink::fire>(sink);
+    // Each arm replaces its predecessor at a scattered time — the
+    // medium's pending-fire pattern, which touches neither the heap nor
+    // the slab.
     for (int i = 0; i < n; ++i) {
-      prev.cancel();
-      prev = sim.schedule_at(TimeNs::ns(100000 + i * 997 % 100000), [] {});
+      sim.arm(t, TimeNs::ns(100000 + i * 997 % 100000));
     }
     sim.run();
-    // Every schedule but the last was cancelled.
-    if (sim.events_processed() != 1) {
-      state.SkipWithError("processed other than the one uncancelled event");
+    // Only the last arm fires.
+    if (sim.events_processed() != 1 || sink.fired != 1) {
+      state.SkipWithError("processed other than the one pending firing");
       break;
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EventQueueCancelHeavy)->Arg(10000);
+BENCHMARK(BM_EventQueueTimerRearm)->Arg(10000);
 
 /// Success accounting for the medium gate rows: items are successful
 /// frames, and `counters["frames"]` is the per-iteration count.  The

@@ -7,7 +7,9 @@
 //   perf_compare --baseline=BENCH_microbench.json --current=current.json
 //       [--threshold=0.35] [--families=BM_EventQueueScheduleRun,...]
 //
-// The comparison metric is items_per_second (higher is better).  The
+// The comparison metric is items_per_second (higher is better): the
+// `_median` aggregate of a file written with --benchmark_repetitions
+// (printed with its coefficient of variation), else the single run.  The
 // threshold is deliberately generous: microbenchmarks on shared CI
 // runners are noisy, and the gate exists to catch structural
 // regressions (an accidental allocation or O(n) scan back in the hot
@@ -31,47 +33,90 @@ namespace {
 
 /// The sim-core benchmark families the gate protects by default.
 const char* kDefaultFamilies =
-    "BM_EventQueueScheduleRun,BM_EventQueueCancelHeavy,"
+    "BM_EventQueueScheduleRun,BM_EventQueueTimerRearm,"
     "BM_DcfSaturatedStation,BM_MediumContention,BM_ConflictGraphMedium,"
     "BM_ScenarioCellBuild,BM_ProbeTrainRepetition,BM_CampaignEngine,"
     "BM_ResultCacheKey,BM_CacheLookupHit,"
     "BM_TraceScanMmap,BM_TraceQueryPushdown,BM_TraceAggHistogram,"
     "BM_MetricsCounterHot,BM_ScopedSpan";
 
-/// Extracts {name -> items_per_second} from google-benchmark JSON.
+/// One gated row of a google-benchmark JSON file.
+struct Row {
+  double ips = 0.0;  ///< items_per_second: the median when repeated
+  double cv = -1.0;  ///< its coefficient of variation, -1 = single shot
+};
+
+/// The quoted string value on a `"key": "value"` line.
+std::string string_value(const std::string& line, std::size_t key_end) {
+  const auto open = line.find('"', key_end);
+  const auto close =
+      open == std::string::npos ? std::string::npos : line.find('"', open + 1);
+  if (open == std::string::npos || close == std::string::npos) {
+    return "";
+  }
+  return line.substr(open + 1, close - open - 1);
+}
+
+/// Extracts {row -> items_per_second} from google-benchmark JSON.
 ///
 /// Not a general JSON parser: the google-benchmark output format is one
-/// `"key": value` pair per line, with every benchmark object carrying a
-/// "name" before its metrics.  "run_name" is distinct from "name" and
-/// skipped.  The context block has no "items_per_second", so pairs
-/// associate unambiguously.
-std::map<std::string, double> read_items_per_second(const std::string& path) {
+/// `"key": value` pair per line, with every benchmark object opening
+/// with its "name".  A file written with --benchmark_repetitions carries
+/// aggregate objects ("run_name" + "aggregate_name"): the row is the
+/// run_name, its value the `_median` (which replaces any per-repetition
+/// value) and its spread the `_cv`; the other aggregates are ignored.
+/// A single-shot file compares each object's own value.  The context
+/// block has no "items_per_second", so pairs associate unambiguously.
+std::map<std::string, Row> read_rows(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     throw std::runtime_error("cannot open " + path);
   }
-  std::map<std::string, double> out;
+  std::map<std::string, Row> out;
+  std::string name;
+  std::string run_name;
+  std::string aggregate;
   std::string line;
-  std::string current_name;
   while (std::getline(in, line)) {
-    const auto name_pos = line.find("\"name\":");
-    if (name_pos != std::string::npos) {
-      const auto open = line.find('"', name_pos + 7);
-      const auto close = open == std::string::npos
-                             ? std::string::npos
-                             : line.find('"', open + 1);
-      if (open != std::string::npos && close != std::string::npos) {
-        current_name = line.substr(open + 1, close - open - 1);
-      }
+    if (const auto k = line.find("\"name\":"); k != std::string::npos) {
+      name = string_value(line, k + 7);
+      run_name.clear();
+      aggregate.clear();
       continue;
     }
-    const auto ips_pos = line.find("\"items_per_second\":");
-    if (ips_pos != std::string::npos && !current_name.empty()) {
-      const double v = std::strtod(line.c_str() + ips_pos + 19, nullptr);
-      out.emplace(current_name, v);  // first wins; names are unique
+    if (const auto k = line.find("\"run_name\":"); k != std::string::npos) {
+      run_name = string_value(line, k + 11);
+      continue;
+    }
+    if (const auto k = line.find("\"aggregate_name\":");
+        k != std::string::npos) {
+      aggregate = string_value(line, k + 17);
+      continue;
+    }
+    const auto k = line.find("\"items_per_second\":");
+    if (k == std::string::npos || name.empty()) {
+      continue;
+    }
+    const double v = std::strtod(line.c_str() + k + 19, nullptr);
+    if (aggregate.empty()) {
+      out.emplace(name, Row{v});  // first wins; a median replaces it
+    } else if (aggregate == "median") {
+      out[run_name].ips = v;
+    } else if (aggregate == "cv") {
+      out[run_name].cv = v;
     }
   }
   return out;
+}
+
+/// "1.2%" for a row with a CV, "-" for a single shot.
+std::string cv_text(const Row& r) {
+  if (r.cv < 0.0) {
+    return "-";
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.1f%%", 100.0 * r.cv);
+  return buf;
 }
 
 bool in_families(const std::string& name,
@@ -100,37 +145,39 @@ int run(int argc, char** argv) {
     }
   }
 
-  const auto baseline = read_items_per_second(baseline_path);
-  const auto current = read_items_per_second(current_path);
+  const auto baseline = read_rows(baseline_path);
+  const auto current = read_rows(current_path);
 
   int failures = 0;
   int compared = 0;
-  std::printf("%-36s %12s %12s %7s  %s\n", "benchmark", "baseline",
-              "current", "ratio", "status");
-  for (const auto& [name, base_ips] : baseline) {
-    if (!in_families(name, families) || base_ips <= 0.0) {
+  std::printf("%-36s %12s %7s %12s %7s %7s  %s\n", "benchmark", "baseline",
+              "cv", "current", "cv", "ratio", "status");
+  for (const auto& [name, base] : baseline) {
+    if (!in_families(name, families) || base.ips <= 0.0) {
       continue;
     }
     const auto it = current.find(name);
     if (it == current.end()) {
-      std::printf("%-36s %12.3g %12s %7s  MISSING\n", name.c_str(), base_ips,
-                  "-", "-");
+      std::printf("%-36s %12.3g %7s %12s %7s %7s  MISSING\n", name.c_str(),
+                  base.ips, cv_text(base).c_str(), "-", "-", "-");
       ++failures;
       continue;
     }
-    const double ratio = it->second / base_ips;
+    const Row& cur = it->second;
+    const double ratio = cur.ips / base.ips;
     const bool ok = ratio >= 1.0 - threshold;
-    std::printf("%-36s %12.3g %12.3g %6.2fx  %s\n", name.c_str(), base_ips,
-                it->second, ratio, ok ? "ok" : "REGRESSION");
+    std::printf("%-36s %12.3g %7s %12.3g %7s %6.2fx  %s\n", name.c_str(),
+                base.ips, cv_text(base).c_str(), cur.ips,
+                cv_text(cur).c_str(), ratio, ok ? "ok" : "REGRESSION");
     ++compared;
     if (!ok) {
       ++failures;
     }
   }
-  for (const auto& [name, ips] : current) {
+  for (const auto& [name, cur] : current) {
     if (in_families(name, families) && baseline.find(name) == baseline.end()) {
-      std::printf("%-36s %12s %12.3g %7s  new (no baseline)\n", name.c_str(),
-                  "-", ips, "-");
+      std::printf("%-36s %12s %7s %12.3g %7s %7s  new (no baseline)\n",
+                  name.c_str(), "-", "-", cur.ips, cv_text(cur).c_str(), "-");
     }
   }
 

@@ -16,7 +16,10 @@ std::size_t at(int i) { return static_cast<std::size_t>(i); }
 }  // namespace
 
 Medium::Medium(sim::Simulator& sim, const PhyParams& phy)
-    : sim_(sim), phy_(phy) {
+    : sim_(sim),
+      phy_(phy),
+      fire_timer_(sim.add_timer<&Medium::fire>(*this)),
+      end_timer_(sim.add_timer<&Medium::advance>(*this)) {
   phy_.validate();
 }
 
@@ -151,22 +154,15 @@ void Medium::sync_pending_fire() {
   if (complete_ && !txs_.empty()) {
     return;  // a busy cell has no live countdown; its fire already ran
   }
-  pending_fire_.cancel();
-  TimeNs earliest;
-  if (complete_) {
-    if (min_slot_ < 0) {
-      return;
-    }
-    earliest = contenders_[at(min_slot_)].fire;
-  } else {
-    if (fire_idx_.empty()) {
-      return;
-    }
-    earliest = fire_idx_.top_time();
+  if (complete_ ? min_slot_ < 0 : fire_idx_.empty()) {
+    sim_.disarm(fire_timer_);
+    return;
   }
+  const TimeNs earliest = complete_ ? contenders_[at(min_slot_)].fire
+                                    : fire_idx_.top_time();
   CSMABW_REQUIRE(earliest >= sim_.now(), "fire time in the past");
   m_rearms_.add(1);
-  pending_fire_ = sim_.schedule_member_at<&Medium::fire>(earliest, *this);
+  sim_.arm(fire_timer_, earliest);
 }
 
 void Medium::sync_pending_end() {
@@ -182,14 +178,14 @@ void Medium::sync_pending_end() {
       end = std::max(end, tx_end(t));
     }
   } else {
-    pending_end_.cancel();
     if (end_idx_.empty()) {
+      sim_.disarm(end_timer_);
       return;
     }
     end = end_idx_.top_time();
   }
   CSMABW_REQUIRE(end >= sim_.now(), "transmission end in the past");
-  pending_end_ = sim_.schedule_member_at<&Medium::advance>(end, *this);
+  sim_.arm(end_timer_, end);
 }
 
 // ------------------------------------------------------------------ fire

@@ -83,10 +83,14 @@ struct MediumStats {
 ///    neighborhood only.  Each transmission ends at its own frame
 ///    boundary.
 ///
-/// Both keep the event-sequence discipline: the pending fire and end
-/// events are (re-)armed at fixed call sites, so event numbering — and
-/// therefore every trace and CSV byte — is a pure function of the
-/// inputs.  The hot path is allocation-free once every station has
+/// Both keep the event-sequence discipline: the medium's clock is two
+/// simulator timers, the pending fire and the pending transmission end,
+/// armed or disarmed at fixed call sites.  Every arm takes a fresh
+/// sequence number from the simulator's one counter (as cancelling a
+/// one-shot event and scheduling a new one did), so event numbering —
+/// and therefore every trace and CSV byte — is a pure function of the
+/// inputs.  A medium event touches neither the event heap nor its slab,
+/// and the hot path is allocation-free once every station has
 /// registered.
 class Medium {
  public:
@@ -154,11 +158,12 @@ class Medium {
   /// Complete graph: recomputes every fire time (the idle origin moved
   /// for every station at once).
   void reschedule_all();
-  /// Re-arms the pending fire event at the earliest fire time (cancel
-  /// + fresh schedule, so event numbering depends only on the call
-  /// sites).
+  /// Arms the fire timer at the earliest fire time, or disarms it when
+  /// no countdown is live.  Each arm takes a fresh sequence number, so
+  /// event numbering depends only on the call sites.
   void sync_pending_fire();
-  /// Re-arms the pending end event at the earliest transmission end.
+  /// Arms the end timer at the earliest transmission end, or disarms it
+  /// when nothing is on the air.
   void sync_pending_end();
 
   void fire();
@@ -192,8 +197,8 @@ class Medium {
 
   std::vector<Tx> txs_;  ///< transmissions on the air
   TimeNs busy_mark_;     ///< busy time is charged up to here
-  sim::EventHandle pending_fire_;
-  sim::EventHandle pending_end_;
+  sim::TimerId fire_timer_;  ///< runs fire() at the earliest fire time
+  sim::TimerId end_timer_;   ///< runs advance() at the earliest tx end
 
   // Complete graph: the cell's idle origin and the contender cache.
   TimeNs idle_start_;

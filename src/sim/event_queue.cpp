@@ -1,42 +1,12 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-
 namespace csmabw::sim {
 
-void EventHandle::cancel() {
-  if (queue_ == nullptr) {
-    return;
-  }
-  EventQueue::Slot& s = queue_->slot(slot_);
-  if (s.gen != gen_ || s.invoke == nullptr) {
-    return;  // already fired, cancelled, or slot recycled — no ABA
-  }
-  queue_->release_slot(slot_);
-  --queue_->live_;
-  ++queue_->stale_;  // its heap record is now dead weight
-  // Schedule/cancel churn must not grow the heap without bound: once
-  // stale records outnumber live ones, sweep them out.
-  if (queue_->stale_ > queue_->live_ + 64) {
-    queue_->compact();
-  }
-}
-
-bool EventHandle::scheduled() const {
-  if (queue_ == nullptr) {
-    return false;
-  }
-  const EventQueue::Slot& s = queue_->slot(slot_);
-  return s.gen == gen_ && s.invoke != nullptr;
-}
-
 EventQueue::~EventQueue() {
-  if (live_ == 0) {
-    return;  // nothing scheduled: no callback can need destruction
-  }
-  for (std::uint32_t idx = 0; idx < slots_used_; ++idx) {
-    Slot& s = slot(idx);
-    if (s.invoke != nullptr && s.destroy != nullptr) {
+  // Every heap record is a pending callback: none can be cancelled.
+  for (const HeapRecord& r : heap_) {
+    Slot& s = slot(static_cast<std::uint32_t>(r.key) & kSlotMask);
+    if (s.destroy != nullptr) {
       s.destroy(s.storage);
     }
   }
@@ -46,52 +16,19 @@ std::uint32_t EventQueue::grow_slab() {
   CSMABW_REQUIRE(slots_used_ <= kSlotMask, "event slot space exhausted");
   if (slots_used_ == chunks_.size() * kChunkSlots) {
     // Default-initialized on purpose: a value-init (`new Slot[n]()`)
-    // would memset 16 KiB per chunk.  Only gen (compared by handles
-    // across a slot's whole lifetime) and invoke (the liveness flag)
-    // need seeding; the other fields are written before first read.
+    // would memset 16 KiB per chunk, and every field is written before
+    // it is first read.
     chunks_.emplace_back(new Slot[kChunkSlots]);
     ++allocations_;
-    Slot* fresh = chunks_.back().get();
-    for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
-      fresh[i].gen = 0;
-      fresh[i].invoke = nullptr;
-    }
   }
   return slots_used_++;
 }
 
-void EventQueue::compact() {
-  auto dead = [this](const HeapRecord& r) { return stale(r); };
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
-  stale_ = 0;
-  // Floyd heapify: sift down every internal node of the 4-ary heap.
-  const std::size_t n = heap_.size();
-  if (n < 2) {
-    return;
-  }
-  for (std::size_t start = (n - 2) / 4 + 1; start-- > 0;) {
-    const HeapRecord rec = heap_[start];
-    std::size_t pos = start;
-    for (;;) {
-      const std::size_t child = 4 * pos + 1;
-      if (child >= n) {
-        break;
-      }
-      std::size_t m = child;
-      const std::size_t end = child + 4 < n ? child + 4 : n;
-      for (std::size_t c = child + 1; c < end; ++c) {
-        if (earlier(heap_[c], heap_[m])) {
-          m = c;
-        }
-      }
-      if (!earlier(heap_[m], rec)) {
-        break;
-      }
-      heap_[pos] = heap_[m];
-      pos = m;
-    }
-    heap_[pos] = rec;
-  }
+void EventQueue::fire_first_timer(TimeNs& now) {
+  Timer& t = timers_[first_];
+  now = t.due.at;
+  disarm(first_);  // before the callback, which may re-arm it
+  t.invoke(t.obj);
 }
 
 }  // namespace csmabw::sim

@@ -12,56 +12,33 @@
 
 namespace csmabw::sim {
 
-class EventQueue;
+/// Names a re-armable timer of one EventQueue (see EventQueue::add_timer).
+using TimerId = std::uint32_t;
 
-/// Handle to a scheduled event; allows cancellation.
+/// Time-ordered event queue: one-shot events in a slab-pooled heap, plus
+/// a few re-armable timers beside it.  The hot path is allocation-free.
 ///
-/// A handle is a (slot, generation) pair into the queue's slab pool —
-/// two words, no refcounting.  Cancellation and `scheduled()` checks are
-/// O(1); a handle to an event that has fired (or whose slot was recycled
-/// for a later event) reports `scheduled() == false` and its `cancel()`
-/// is a no-op, so stale handles can never cancel a slot's new occupant.
-/// Handles are cheap to copy but must not be used after the queue they
-/// came from is destroyed.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancels the event if it has not fired yet.  Idempotent.
-  void cancel();
-  [[nodiscard]] bool scheduled() const;
-
- private:
-  friend class EventQueue;
-  EventHandle(EventQueue* q, std::uint32_t slot, std::uint32_t gen)
-      : queue_(q), slot_(slot), gen_(gen) {}
-
-  EventQueue* queue_ = nullptr;
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
-};
-
-/// Time-ordered event queue with a slab-pooled, allocation-free hot path.
+/// Every event — a one-shot schedule or a timer arm — draws a sequence
+/// number from one monotone counter, and events fire in (time, seq)
+/// order, so equal times fire in scheduling order.  Deterministic replay
+/// requires that total order, and every operation preserves it exactly.
 ///
-/// Events at equal times fire in scheduling order (FIFO tie-break via a
-/// monotone sequence number) — deterministic replay requires a total
-/// order on (time, seq), and every operation preserves it exactly.
-///
-/// Storage design: callbacks live inline in 64-byte slots of a chunked
+/// One-shot events: callbacks live inline in 64-byte slots of a chunked
 /// slab (chunks never move, so callbacks may be non-trivially copyable);
 /// a 4-ary binary-hole heap orders lightweight (time, seq, slot)
-/// records.  Freed slots are recycled through a free list and slot
-/// generations are bumped on release, so in steady state — once the slab
-/// and heap have grown to the high-water mark — scheduling, cancelling
-/// and firing perform zero heap allocations.  Callbacks larger than
-/// `kInlineCallbackBytes` are a compile error: there is deliberately no
-/// heap fallback.
+/// records.  Freed slots are recycled through a free list, so in steady
+/// state — once the slab and heap have grown to the high-water mark —
+/// scheduling and firing perform zero heap allocations.  Callbacks
+/// larger than `kInlineCallbackBytes` are a compile error: there is
+/// deliberately no heap fallback.  A scheduled event cannot be
+/// cancelled, so every heap record is live.
 ///
-/// Cancellation is lazy in the heap (the (time, seq, slot) record stays
-/// until it surfaces or a compaction sweep removes it) but eager in the
-/// slab: the slot is destroyed and recycled immediately.  When stale
-/// records outnumber live ones the heap is compacted in place, so a
-/// schedule/cancel churn workload stays bounded.
+/// Timers: `add_timer` binds a member function once, at set-up.  Each
+/// `arm` takes a fresh sequence number and replaces the timer's pending
+/// firing, so arming a timer orders exactly like cancelling its last
+/// one-shot event and scheduling a new one — without touching the heap
+/// or the slab.  A timer is disarmed before its callback runs, so the
+/// callback may re-arm it.  `arm` and `disarm` never allocate.
 class EventQueue {
  public:
   /// Inline storage per event; fits every in-tree callback (lambdas
@@ -78,7 +55,7 @@ class EventQueue {
   /// Schedules `fn` at `at`.  `fn` is moved into the slot's inline
   /// storage — no allocation, no type-erasure through std::function.
   template <class F>
-  EventHandle schedule(TimeNs at, F fn) {
+  void schedule(TimeNs at, F fn) {
     static_assert(std::is_invocable_r_v<void, F&>,
                   "event callback must be invocable with no arguments");
     static_assert(sizeof(F) <= kInlineCallbackBytes,
@@ -100,7 +77,7 @@ class EventQueue {
     } else {
       s.destroy = [](void* p) { static_cast<F*>(p)->~F(); };
     }
-    return commit(at, idx);
+    commit(at, idx);
   }
 
   /// Schedules a member-function call `(obj.*Method)()` at `at` — direct
@@ -108,7 +85,7 @@ class EventQueue {
   /// pointer and the trampoline is a per-(Method) function, with no
   /// lambda or functor object in between.
   template <auto Method, class T>
-  EventHandle schedule_member(TimeNs at, T& obj) {
+  void schedule_member(TimeNs at, T& obj) {
     static_assert(std::is_invocable_r_v<void, decltype(Method), T&>,
                   "Method must be callable on T with no arguments");
     const std::uint32_t idx = acquire_slot();
@@ -116,70 +93,100 @@ class EventQueue {
     ::new (static_cast<void*>(s.storage)) T*(&obj);
     s.invoke = [](void* p) { ((*static_cast<T**>(p))->*Method)(); };
     s.destroy = nullptr;
-    return commit(at, idx);
+    commit(at, idx);
   }
 
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  /// Live (scheduled, not cancelled) events.
-  [[nodiscard]] std::size_t size() const { return live_; }
-
-  /// Time of the earliest live event.  Requires !empty().
-  [[nodiscard]] TimeNs next_time() const {
-    CSMABW_REQUIRE(live_ > 0, "next_time() on an empty queue");
-    prune_top();
-    return heap_.front().at;
+  /// Registers a disarmed timer that calls `(obj.*Method)()` when it
+  /// fires.  Call at set-up: this may allocate.  `obj` must outlive
+  /// every firing.
+  template <auto Method, class T>
+  TimerId add_timer(T& obj) {
+    static_assert(std::is_invocable_r_v<void, decltype(Method), T&>,
+                  "Method must be callable on T with no arguments");
+    if (timers_.size() == timers_.capacity()) {
+      ++allocations_;  // the push below grows the timer vector
+    }
+    Timer t;
+    t.obj = &obj;
+    t.invoke = [](void* p) { (static_cast<T*>(p)->*Method)(); };
+    timers_.push_back(t);
+    return static_cast<TimerId>(timers_.size() - 1);
   }
 
-  /// Pops and runs the earliest live event; returns its time.
-  /// Requires !empty().
-  TimeNs pop_and_run() {
-    CSMABW_REQUIRE(live_ > 0, "pop_and_run() on an empty queue");
-    for (;;) {
-      const HeapRecord rec = take_top();
-      if (stale_ != 0 && stale(rec)) {
-        --stale_;
-        continue;
-      }
-      return dispatch(rec);
+  /// Arms timer `id` at `at` with a fresh sequence number, replacing
+  /// any pending firing.
+  void arm(TimerId id, TimeNs at) {
+    CSMABW_REQUIRE(id < timers_.size(), "arm() on an unknown timer");
+    Timer& t = timers_[id];
+    t.armed = true;
+    t.due = HeapRecord{at, next_seq() << kSlotBits};
+    if (first_ == id) {
+      find_first_timer();  // it may have moved behind another timer
+    } else if (first_ == kNoTimer || earlier(t.due, timers_[first_].due)) {
+      first_ = id;
     }
   }
 
-  /// Pops and runs the earliest live event, advancing `now` to its time
+  /// Drops timer `id`'s pending firing; a no-op when it is not armed.
+  void disarm(TimerId id) {
+    CSMABW_REQUIRE(id < timers_.size(), "disarm() on an unknown timer");
+    timers_[id].armed = false;
+    if (first_ == id) {
+      find_first_timer();
+    }
+  }
+
+  [[nodiscard]] bool empty() const {
+    return heap_.empty() && first_ == kNoTimer;
+  }
+  /// Pending events: scheduled one-shot events plus armed timers.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t armed = 0;
+    for (const Timer& t : timers_) {
+      armed += t.armed ? 1 : 0;
+    }
+    return heap_.size() + armed;
+  }
+
+  /// Time of the earliest pending event.  Requires !empty().
+  [[nodiscard]] TimeNs next_time() const {
+    CSMABW_REQUIRE(!empty(), "next_time() on an empty queue");
+    return timer_next() ? timers_[first_].due.at : heap_.front().at;
+  }
+
+  /// Runs the earliest pending event; returns its time.  Requires
+  /// !empty().
+  TimeNs pop_and_run() {
+    CSMABW_REQUIRE(!empty(), "pop_and_run() on an empty queue");
+    TimeNs now;
+    run_next(timer_next(), now);
+    return now;
+  }
+
+  /// Runs the earliest pending event, advancing `now` to its time
   /// first; returns false when the queue is empty.  The single-step
   /// building block for predicate-checked loops.
   bool step(TimeNs& now) {
-    while (live_ > 0) {
-      const HeapRecord rec = take_top();
-      if (stale_ != 0 && stale(rec)) {
-        --stale_;
-        continue;
-      }
-      now = rec.at;
-      dispatch(rec);
-      return true;
+    if (empty()) {
+      return false;
     }
-    return false;
+    run_next(timer_next(), now);
+    return true;
   }
 
   /// Runs every event with time <= `deadline` in (time, seq) order,
   /// advancing `now` to each event's time before dispatch.  Returns the
   /// number of events run.  Batching the loop here (instead of the
-  /// owner's empty()/next_time()/pop_and_run() dance) touches the heap
-  /// top once per event with no indirection.
+  /// owner's empty()/next_time()/pop_and_run() dance) decides heap top
+  /// versus timer once per event.
   std::uint64_t run_until(TimeNs deadline, TimeNs& now) {
     std::uint64_t ran = 0;
-    while (live_ > 0) {
-      if (stale_ != 0 && stale(heap_.front())) {
-        --stale_;
-        (void)take_top();
-        continue;
-      }
-      if (heap_.front().at > deadline) {
+    while (!empty()) {
+      const bool timer = timer_next();
+      if ((timer ? timers_[first_].due.at : heap_.front().at) > deadline) {
         break;
       }
-      const HeapRecord rec = take_top();
-      now = rec.at;
-      dispatch(rec);
+      run_next(timer, now);
       ++ran;
     }
     return ran;
@@ -195,38 +202,30 @@ class EventQueue {
   }
 
   // --- introspection for tests and benchmarks ---
-  /// Heap records, including stale ones awaiting compaction.  Bounded by
-  /// ~2x the live count plus a small constant.
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
   /// Slots the slab has ever allocated (the high-water mark).
   [[nodiscard]] std::size_t slot_capacity() const {
     return chunks_.size() * kChunkSlots;
   }
-  /// Number of heap allocations the queue has performed (slab chunks +
-  /// heap-vector growth).  Constant across steady-state operation.
+  /// Number of heap allocations the queue has performed (slab chunks,
+  /// heap-vector and timer-vector growth).  Constant across steady-state
+  /// operation.
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
  private:
-  friend class EventHandle;
-
   static constexpr std::uint32_t kChunkSlots = 256;  // 16 KiB chunks
   static constexpr std::uint32_t kInvalidSlot = 0xFFFFFFFFu;
+  static constexpr TimerId kNoTimer = 0xFFFFFFFFu;
 
   /// One pooled event: 64 bytes, a single cache line on common targets.
-  /// `invoke != nullptr` means the slot holds a live (scheduled, not yet
-  /// dispatched, not cancelled) callback.
   ///
   /// Deliberately no default member initializers: chunks are allocated
-  /// default-initialized (no 16 KiB memset on slab growth).  grow_slab()
-  /// seeds `gen` and `invoke` for each new chunk (512 B of writes);
-  /// every other field is written by schedule()/commit() before it is
-  /// first read.
+  /// default-initialized (no 16 KiB memset on slab growth), and every
+  /// field is written by schedule()/release_slot() before it is first
+  /// read.
   struct Slot {
     alignas(std::max_align_t) unsigned char storage[kInlineCallbackBytes];
-    std::uint64_t seq;  ///< unique per event; stale-record check
     void (*invoke)(void*);
     void (*destroy)(void*);
-    std::uint32_t gen;  ///< bumped on release; handle validity
     std::uint32_t next_free;
   };
 
@@ -240,10 +239,20 @@ class EventQueue {
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
 
-  /// What the heap orders: trivially movable, 16 bytes.
+  /// What the heap orders: trivially movable, 16 bytes.  An armed timer
+  /// keeps one too, with zero slot bits, so one compare orders a timer
+  /// against the heap top.
   struct HeapRecord {
     TimeNs at;
     std::uint64_t key;  ///< seq << kSlotBits | slot
+  };
+
+  /// A re-armable timer: a bound member function and its pending firing.
+  struct Timer {
+    HeapRecord due;  ///< (time, seq << kSlotBits) while armed
+    void* obj = nullptr;
+    void (*invoke)(void*) = nullptr;
+    bool armed = false;
   };
 
   static bool earlier(const HeapRecord& a, const HeapRecord& b) {
@@ -256,12 +265,41 @@ class EventQueue {
   [[nodiscard]] Slot& slot(std::uint32_t idx) {
     return chunks_[idx / kChunkSlots][idx % kChunkSlots];
   }
-  [[nodiscard]] const Slot& slot(std::uint32_t idx) const {
-    return chunks_[idx / kChunkSlots][idx % kChunkSlots];
+
+  std::uint64_t next_seq() {
+    const std::uint64_t seq = next_seq_++;
+    CSMABW_REQUIRE(seq < kMaxSeq, "event sequence space exhausted");
+    return seq;
   }
-  [[nodiscard]] bool stale(const HeapRecord& r) const {
-    const Slot& s = slot(static_cast<std::uint32_t>(r.key) & kSlotMask);
-    return s.invoke == nullptr || s.seq != r.key >> kSlotBits;
+
+  /// Whether the earliest armed timer fires before the heap top.
+  [[nodiscard]] bool timer_next() const {
+    return first_ != kNoTimer &&
+           (heap_.empty() || earlier(timers_[first_].due, heap_.front()));
+  }
+
+  /// Points first_ at the earliest armed timer (kNoTimer if none).
+  void find_first_timer() {
+    first_ = kNoTimer;
+    for (TimerId i = 0; i < timers_.size(); ++i) {
+      const Timer& t = timers_[i];
+      if (t.armed &&
+          (first_ == kNoTimer || earlier(t.due, timers_[first_].due))) {
+        first_ = i;
+      }
+    }
+  }
+
+  /// Runs the earliest event — the first timer when `timer` (from
+  /// timer_next()), else the heap top — with `now` set to its time.
+  void run_next(bool timer, TimeNs& now) {
+    if (timer) {
+      fire_first_timer(now);
+      return;
+    }
+    const HeapRecord rec = take_top();
+    now = rec.at;
+    dispatch(rec);
   }
 
   std::uint32_t acquire_slot() {
@@ -274,17 +312,13 @@ class EventQueue {
   }
 
   /// Inserts the freshly filled slot `idx` into the heap (hole-based
-  /// 4-ary sift-up) and hands out the handle.
-  EventHandle commit(TimeNs at, std::uint32_t idx) {
-    Slot& s = slot(idx);
-    const std::uint64_t seq = next_seq_++;
-    CSMABW_REQUIRE(seq < kMaxSeq, "event sequence space exhausted");
-    s.seq = seq;
+  /// 4-ary sift-up).
+  void commit(TimeNs at, std::uint32_t idx) {
     if (heap_.size() == heap_.capacity()) {
       ++allocations_;  // the push below grows the heap vector
     }
     std::size_t pos = heap_.size();
-    const HeapRecord rec{at, seq << kSlotBits | idx};
+    const HeapRecord rec{at, next_seq() << kSlotBits | idx};
     heap_.push_back(rec);
     while (pos > 0) {
       const std::size_t parent = (pos - 1) / 4;
@@ -295,14 +329,11 @@ class EventQueue {
       pos = parent;
     }
     heap_[pos] = rec;
-    ++live_;
-    return EventHandle{this, idx, s.gen};
   }
 
   /// Removes and returns the heap's top record (hole-based 4-ary
-  /// sift-down).  `const` so the lazy pruning in next_time() can use it;
-  /// the heap is mutable state either way.
-  HeapRecord take_top() const {
+  /// sift-down).
+  HeapRecord take_top() {
     const HeapRecord top = heap_.front();
     const HeapRecord last = heap_.back();
     heap_.pop_back();
@@ -350,54 +381,38 @@ class EventQueue {
     return top;
   }
 
-  /// Runs the (live) record's callback and recycles its slot.
-  TimeNs dispatch(const HeapRecord& rec) {
+  /// Runs the popped record's callback and recycles its slot.  The slot
+  /// is recycled only after the callback returns, so the callback
+  /// object stays valid even if the callback schedules new events.
+  void dispatch(const HeapRecord& rec) {
     const std::uint32_t idx = static_cast<std::uint32_t>(rec.key) & kSlotMask;
     Slot& s = slot(idx);
-    void (*fn)(void*) = s.invoke;
-    // Mark not-live before running: the callback observes its own handle
-    // as unscheduled, and a self-cancel is a harmless no-op.  The slot is
-    // recycled only after the callback returns, so the callback object
-    // stays valid even if the callback schedules new events.
-    s.invoke = nullptr;
-    --live_;
-    fn(s.storage);
+    s.invoke(s.storage);
     release_slot(idx);
-    return rec.at;
   }
 
-  /// Destroys the callback and returns the slot to the free list,
-  /// bumping its generation so outstanding handles go stale.
+  /// Destroys the callback and returns the slot to the free list.
   void release_slot(std::uint32_t idx) {
     Slot& s = slot(idx);
     if (s.destroy != nullptr) {
       s.destroy(s.storage);
     }
-    s.invoke = nullptr;
-    ++s.gen;
     s.next_free = free_head_;
     free_head_ = idx;
   }
 
-  /// Pops stale records off the heap top (so front() is live).
-  void prune_top() const {
-    while (!heap_.empty() && stale(heap_.front())) {
-      (void)take_top();
-      --stale_;
-    }
-  }
-
   std::uint32_t grow_slab();
-  /// Removes every stale record and re-heapifies; O(heap size).
-  void compact();
+  /// Runs the earliest armed timer; out of line to keep the heap loop
+  /// small.
+  void fire_first_timer(TimeNs& now);
 
-  mutable std::vector<HeapRecord> heap_;
+  std::vector<HeapRecord> heap_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<Timer> timers_;
+  TimerId first_ = kNoTimer;  ///< earliest armed timer
   std::uint32_t free_head_ = kInvalidSlot;
   std::uint32_t slots_used_ = 0;  ///< slots handed out at least once
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-  mutable std::size_t stale_ = 0;  ///< stale records still in the heap
   std::uint64_t allocations_ = 0;
 };
 

@@ -21,32 +21,49 @@ namespace csmabw::sim {
 /// causality).
 ///
 /// Scheduling is allocation-free: callbacks are moved into the pooled
-/// event queue's inline slots (see EventQueue), so the hot path of a
-/// large ensemble performs no per-event heap work.
+/// event queue's inline slots, and a component that keeps re-arming one
+/// pending event (the medium's contention clock) holds a timer instead
+/// (see EventQueue), so the hot path of a large ensemble performs no
+/// per-event heap work.
 class Simulator {
  public:
   [[nodiscard]] TimeNs now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= now()).
   template <class F>
-  EventHandle schedule_at(TimeNs at, F fn) {
+  void schedule_at(TimeNs at, F fn) {
     CSMABW_REQUIRE(at >= now_, "cannot schedule an event in the past");
-    return queue_.schedule(at, std::move(fn));
+    queue_.schedule(at, std::move(fn));
   }
   /// Schedules `fn` after `delay` (>= 0).
   template <class F>
-  EventHandle schedule_in(TimeNs delay, F fn) {
+  void schedule_in(TimeNs delay, F fn) {
     CSMABW_REQUIRE(delay >= TimeNs::zero(), "delay must be non-negative");
-    return queue_.schedule(now_ + delay, std::move(fn));
+    queue_.schedule(now_ + delay, std::move(fn));
   }
   /// Schedules `(obj.*Method)()` at `at` — direct member-function
   /// dispatch on the pooled event, e.g.
-  /// `sim.schedule_member_at<&Medium::fire>(t, *this)`.
+  /// `sim.schedule_member_at<&CbrSource::on_timer>(t, *this)`.
   template <auto Method, class T>
-  EventHandle schedule_member_at(TimeNs at, T& obj) {
+  void schedule_member_at(TimeNs at, T& obj) {
     CSMABW_REQUIRE(at >= now_, "cannot schedule an event in the past");
-    return queue_.schedule_member<Method>(at, obj);
+    queue_.schedule_member<Method>(at, obj);
   }
+
+  /// Registers a re-armable timer calling `(obj.*Method)()`, e.g.
+  /// `sim.add_timer<&Medium::fire>(*this)`; see EventQueue::add_timer.
+  /// Call at set-up: this may allocate.
+  template <auto Method, class T>
+  TimerId add_timer(T& obj) {
+    return queue_.add_timer<Method>(obj);
+  }
+  /// Arms timer `id` at `at` (>= now()), replacing any pending firing.
+  void arm(TimerId id, TimeNs at) {
+    CSMABW_REQUIRE(at >= now_, "cannot arm a timer in the past");
+    queue_.arm(id, at);
+  }
+  /// Drops timer `id`'s pending firing, if any.
+  void disarm(TimerId id) { queue_.disarm(id); }
 
   /// Runs events with time <= `deadline`; afterwards now() == deadline.
   void run_until(TimeNs deadline) {
@@ -71,10 +88,12 @@ class Simulator {
     return done();
   }
 
+  /// Scheduled one-shot events plus armed timers.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  /// Heap allocations the event queue has performed so far (slab chunks
-  /// + heap-vector growth); constant across steady-state operation.
+  /// Heap allocations the event queue has performed so far (slab chunks,
+  /// heap- and timer-vector growth); constant across steady-state
+  /// operation.
   [[nodiscard]] std::uint64_t event_allocations() const {
     return queue_.allocations();
   }
@@ -84,7 +103,7 @@ class Simulator {
   /// are pure functions of the workload — deterministic across runs.
   struct Cost {
     std::uint64_t events_processed = 0;
-    std::uint64_t allocations = 0;     ///< slab chunks + heap growth
+    std::uint64_t allocations = 0;     ///< slab chunks + vector growth
     std::uint64_t slot_capacity = 0;   ///< event slots currently owned
   };
   [[nodiscard]] Cost cost() const {

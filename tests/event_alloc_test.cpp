@@ -1,4 +1,4 @@
-// Verifies the pooled event core and the medium's hot path are
+// Verifies the pooled event core, its timers and the medium's hot path are
 // allocation-free in steady state, two ways: the queue's own allocation
 // counter (slab chunks + heap-vector growth), and — where sanitizers
 // don't own the allocator — a replacement global operator new that
@@ -95,31 +95,32 @@ TEST(EventAllocation, SteadyStateScheduleAndRunIsHeapFree) {
   EXPECT_EQ(hits, 2000 + 10000);
 }
 
-TEST(EventAllocation, ScheduleCancelChurnIsHeapFree) {
+TEST(EventAllocation, TimerRearmChurnIsHeapFree) {
+  struct Hits {
+    long n = 0;
+    void hit() { ++n; }
+  } hits;
   Simulator sim;
-  auto churn = [&sim] {
-    for (int i = 0; i < 10000; ++i) {
-      auto h = sim.schedule_in(TimeNs::us(5 + i % 50), [] {});
-      if (i % 2 == 0) {
-        h.cancel();
-      }
-    }
-    sim.run();
-  };
-  // Warm-up: the same workload once, so the slab, the heap vector and
-  // compaction (in-place, no scratch) reach their high-water marks.
-  churn();
+  const TimerId t = sim.add_timer<&Hits::hit>(hits);
 
+  // Registration may allocate; arming, disarming and firing may not.
   const std::uint64_t queue_allocs_before = sim.event_allocations();
   g_allocs.store(0);
   g_counting.store(true);
-  churn();
+  for (int i = 0; i < 10000; ++i) {
+    sim.arm(t, TimeNs::us(5 + i % 50));
+    if (i % 3 == 1) {
+      sim.disarm(t);
+    }
+  }
+  sim.run();
   g_counting.store(false);
 
   EXPECT_EQ(sim.event_allocations(), queue_allocs_before);
 #if CSMABW_NEW_HOOK
   EXPECT_EQ(g_allocs.load(), 0u);
 #endif
+  EXPECT_EQ(hits.n, 1);  // the last arm (i = 9999) stays armed
 }
 
 /// Drains a full queue on every station of a cell over `topology` twice

@@ -11,6 +11,19 @@
 namespace csmabw::sim {
 namespace {
 
+/// Timer target: counts its firings and logs `tag` into `order`.
+struct Recorder {
+  std::vector<int>* order = nullptr;
+  int tag = 0;
+  int hits = 0;
+  void record() {
+    ++hits;
+    if (order != nullptr) {
+      order->push_back(tag);
+    }
+  }
+};
+
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -33,55 +46,6 @@ TEST(EventQueue, EqualTimesFifo) {
     q.pop_and_run();
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  std::vector<int> order;
-  auto h = q.schedule(TimeNs::us(1), [&] { order.push_back(1); });
-  q.schedule(TimeNs::us(2), [&] { order.push_back(2); });
-  h.cancel();
-  while (!q.empty()) {
-    q.pop_and_run();
-  }
-  EXPECT_EQ(order, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, CancelIsIdempotentAndSafeAfterFire) {
-  EventQueue q;
-  auto h = q.schedule(TimeNs::us(1), [] {});
-  EXPECT_TRUE(h.scheduled());
-  q.pop_and_run();
-  EXPECT_FALSE(h.scheduled());
-  h.cancel();  // no effect after firing
-  h.cancel();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, DefaultHandleIsUnscheduled) {
-  EventHandle h;
-  EXPECT_FALSE(h.scheduled());
-  h.cancel();  // must not crash
-}
-
-TEST(EventQueue, NextTimeSeesEarliestLiveEvent) {
-  EventQueue q;
-  auto h = q.schedule(TimeNs::us(1), [] {});
-  q.schedule(TimeNs::us(5), [] {});
-  h.cancel();
-  EXPECT_EQ(q.next_time(), TimeNs::us(5));
-}
-
-TEST(EventQueue, SizeTracksLiveEvents) {
-  EventQueue q;
-  auto h1 = q.schedule(TimeNs::us(1), [] {});
-  q.schedule(TimeNs::us(2), [] {});
-  EXPECT_EQ(q.size(), 2u);
-  h1.cancel();
-  EXPECT_TRUE(!q.empty());
-  EXPECT_EQ(q.size(), 1u);
-  q.pop_and_run();
-  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueue, CallbackMaySchedule) {
@@ -125,30 +89,25 @@ TEST(EventQueue, MemberDispatchRunsTheMethod) {
   EventQueue q;
   Counter c;
   q.schedule_member<&Counter::bump>(TimeNs::us(1), c);
-  auto h = q.schedule_member<&Counter::bump>(TimeNs::us(2), c);
-  EXPECT_TRUE(h.scheduled());
-  h.cancel();
+  q.schedule_member<&Counter::bump>(TimeNs::us(2), c);
   while (!q.empty()) {
     q.pop_and_run();
   }
-  EXPECT_EQ(c.hits, 1);
+  EXPECT_EQ(c.hits, 2);
 }
 
 TEST(EventQueue, NonTrivialCallbackIsDestroyed) {
   // A shared_ptr capture is non-trivially destructible; its destructor
-  // must run both on the fire path and on the cancel path (and at
-  // queue teardown).
+  // must run on the fire path (and at queue teardown, below).
   auto token = std::make_shared<int>(7);
   std::weak_ptr<int> watch = token;
-  {
-    EventQueue q;
-    auto fn = [token] {};
-    token.reset();
-    EXPECT_FALSE(watch.expired());
-    auto h = q.schedule(TimeNs::us(1), std::move(fn));
-    h.cancel();
-    EXPECT_TRUE(watch.expired());  // cancel destroys the callback eagerly
-  }
+  EventQueue q;
+  auto fn = [token] {};
+  token.reset();
+  q.schedule(TimeNs::us(1), std::move(fn));
+  EXPECT_FALSE(watch.expired());
+  q.pop_and_run();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventQueue, TeardownDestroysPendingCallbacks) {
@@ -164,111 +123,11 @@ TEST(EventQueue, TeardownDestroysPendingCallbacks) {
   EXPECT_TRUE(watch.expired());
 }
 
-// --- generation safety (slot recycling must not enable ABA cancels) ---
-
-TEST(EventQueue, HandleToFiredSlotGoesStale) {
-  EventQueue q;
-  auto h1 = q.schedule(TimeNs::us(1), [] {});
-  q.pop_and_run();
-  // The slot is free again; the next schedule recycles it.
-  int fired = 0;
-  auto h2 = q.schedule(TimeNs::us(2), [&] { ++fired; });
-  EXPECT_FALSE(h1.scheduled());
-  EXPECT_TRUE(h2.scheduled());
-  h1.cancel();  // stale handle: must NOT cancel the slot's new occupant
-  EXPECT_TRUE(h2.scheduled());
-  q.pop_and_run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, HandleToCancelledAndRecycledSlotGoesStale) {
-  EventQueue q;
-  auto h1 = q.schedule(TimeNs::us(1), [] {});
-  h1.cancel();
-  int fired = 0;
-  auto h2 = q.schedule(TimeNs::us(2), [&] { ++fired; });
-  EXPECT_FALSE(h1.scheduled());
-  h1.cancel();  // idempotent and still a no-op for the new occupant
-  EXPECT_TRUE(h2.scheduled());
-  while (!q.empty()) {
-    q.pop_and_run();
-  }
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, SelfCancelDuringDispatchIsANoOp) {
-  EventQueue q;
-  EventHandle h;
-  int other = 0;
-  h = q.schedule(TimeNs::us(1), [&] {
-    EXPECT_FALSE(h.scheduled());  // already firing
-    h.cancel();                   // harmless
-  });
-  q.schedule(TimeNs::us(2), [&] { ++other; });
-  while (!q.empty()) {
-    q.pop_and_run();
-  }
-  EXPECT_EQ(other, 1);
-}
-
-// --- compaction: schedule/cancel churn must stay bounded ---
-
-TEST(EventQueue, CancelChurnKeepsHeapAndSlabBounded) {
-  EventQueue q;
-  // A few long-lived events so the heap is never trivially empty.
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(TimeNs::sec(100 + i), [] {});
-  }
-  std::size_t max_heap = 0;
-  for (int i = 0; i < 100000; ++i) {
-    auto h = q.schedule(TimeNs::us(i % 997), [] {});
-    h.cancel();
-    max_heap = std::max(max_heap, q.heap_entries());
-  }
-  // Cancelled-before-pop events must be reclaimed by compaction, not
-  // accumulate until they surface: 100k cancels, yet the heap stays at
-  // live + O(live + constant) records and the slab never grows past its
-  // tiny high-water mark.
-  EXPECT_EQ(q.size(), 10u);
-  EXPECT_LT(max_heap, 200u);
-  EXPECT_LE(q.slot_capacity(), 256u);
-}
-
-TEST(EventQueue, CompactionPreservesFireOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 2000; ++i) {
-    handles.push_back(
-        q.schedule(TimeNs::us(2000 - i), [&order, i] { order.push_back(i); }));
-  }
-  // Cancel all odd events — enough to trigger several compactions once
-  // the churn below runs.
-  for (int i = 1; i < 2000; i += 2) {
-    handles[static_cast<std::size_t>(i)].cancel();
-  }
-  for (int i = 0; i < 5000; ++i) {
-    auto h = q.schedule(TimeNs::us(1), [] {});
-    h.cancel();
-  }
-  while (!q.empty()) {
-    q.pop_and_run();
-  }
-  // Even events fire in ascending time, i.e. descending i.
-  ASSERT_EQ(order.size(), 1000u);
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    EXPECT_LT(order[k], order[k - 1]);
-  }
-}
-
 TEST(EventQueue, SteadyStateDoesNotAllocate) {
   EventQueue q;
   auto churn = [&q] {
     for (int i = 0; i < 10000; ++i) {
-      auto h = q.schedule(TimeNs::us(i % 500), [] {});
-      if (i % 3 == 0) {
-        h.cancel();
-      }
+      q.schedule(TimeNs::us(i % 500), [] {});
       if (q.size() > 700) {
         while (!q.empty()) {
           q.pop_and_run();
@@ -303,6 +162,187 @@ TEST(EventQueue, RunUntilBatchesInOrder) {
   EXPECT_EQ(rest, 5u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(now, TimeNs::us(10));
+}
+
+
+// --- re-armable timers ---
+
+TEST(EventQueue, TimerTiesBreakBySequenceWithTheHeap) {
+  // One counter numbers schedules and arms alike: a timer armed after a
+  // one-shot event at the same time fires after it, and before an event
+  // scheduled after the arm.
+  EventQueue q;
+  std::vector<int> order;
+  Recorder r{&order, 2};
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  q.schedule(TimeNs::us(5), [&] { order.push_back(1); });
+  q.arm(t, TimeNs::us(5));
+  q.schedule(TimeNs::us(5), [&] { order.push_back(3); });
+  TimeNs now;
+  EXPECT_EQ(q.run_all(now), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, RearmReplacesThePendingFiring) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder r{&order, 0};
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  q.schedule(TimeNs::us(10), [&] { order.push_back(1); });
+  // Earlier: the firing moves ahead of the heap event.
+  q.arm(t, TimeNs::us(20));
+  q.arm(t, TimeNs::us(5));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), TimeNs::us(5));
+  EXPECT_EQ(q.pop_and_run(), TimeNs::us(5));
+  // Later: the firing moves behind it.
+  q.arm(t, TimeNs::us(7));
+  q.arm(t, TimeNs::us(30));
+  EXPECT_EQ(q.pop_and_run(), TimeNs::us(10));
+  EXPECT_EQ(q.pop_and_run(), TimeNs::us(30));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0}));
+}
+
+TEST(EventQueue, CancelSkipsEvent) {
+  // Disarming a timer is the queue's one cancellation.
+  EventQueue q;
+  std::vector<int> order;
+  Recorder r{&order, 1};
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  q.arm(t, TimeNs::us(1));
+  q.schedule(TimeNs::us(2), [&] { order.push_back(2); });
+  q.disarm(t);
+  while (!q.empty()) {
+    q.pop_and_run();
+  }
+  EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
+TEST(EventQueue, CancelIsIdempotentAndSafeAfterFire) {
+  EventQueue q;
+  Recorder r;
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  q.disarm(t);  // never armed: no effect
+  q.arm(t, TimeNs::us(1));
+  q.pop_and_run();
+  q.disarm(t);  // no effect after firing
+  q.disarm(t);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(r.hits, 1);
+}
+
+TEST(EventQueue, SelfCancelDuringDispatchIsANoOp) {
+  struct SelfDisarm {
+    EventQueue* q = nullptr;
+    TimerId id = 0;
+    std::size_t pending_inside = 0;
+    void fire() {
+      pending_inside = q->size();  // its own firing is gone already
+      q->disarm(id);               // harmless
+    }
+  };
+  EventQueue q;
+  SelfDisarm sd{&q};
+  sd.id = q.add_timer<&SelfDisarm::fire>(sd);
+  q.arm(sd.id, TimeNs::us(1));
+  int other = 0;
+  q.schedule(TimeNs::us(2), [&] { ++other; });
+  while (!q.empty()) {
+    q.pop_and_run();
+  }
+  EXPECT_EQ(sd.pending_inside, 1u);  // only the us(2) event
+  EXPECT_EQ(other, 1);
+}
+
+TEST(EventQueue, NextTimeSeesEarliestLiveEvent) {
+  EventQueue q;
+  Recorder r;
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  q.schedule(TimeNs::us(5), [] {});
+  q.arm(t, TimeNs::us(1));
+  EXPECT_EQ(q.next_time(), TimeNs::us(1));
+  q.disarm(t);
+  EXPECT_EQ(q.next_time(), TimeNs::us(5));
+  q.arm(t, TimeNs::us(9));
+  EXPECT_EQ(q.next_time(), TimeNs::us(5));
+}
+
+TEST(EventQueue, SizeTracksLiveEvents) {
+  EventQueue q;
+  Recorder r;
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  q.schedule(TimeNs::us(1), [] {});
+  q.schedule(TimeNs::us(2), [] {});
+  q.arm(t, TimeNs::us(3));
+  EXPECT_EQ(q.size(), 3u);
+  q.disarm(t);
+  EXPECT_EQ(q.size(), 2u);
+  q.pop_and_run();
+  EXPECT_EQ(q.size(), 1u);
+  q.pop_and_run();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LoneArmedTimerIsPending) {
+  EventQueue q;
+  Recorder r;
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  EXPECT_TRUE(q.empty());  // a registered timer is not an event
+  q.arm(t, TimeNs::us(3));
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), TimeNs::us(3));
+  TimeNs now;
+  EXPECT_EQ(q.run_all(now), 1u);
+  EXPECT_EQ(now, TimeNs::us(3));
+  EXPECT_EQ(r.hits, 1);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, EarliestOfSeveralTimersFiresFirst) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder a{&order, 0};
+  Recorder b{&order, 1};
+  Recorder c{&order, 2};
+  const TimerId ta = q.add_timer<&Recorder::record>(a);
+  const TimerId tb = q.add_timer<&Recorder::record>(b);
+  const TimerId tc = q.add_timer<&Recorder::record>(c);
+  q.arm(tc, TimeNs::us(4));
+  q.arm(ta, TimeNs::us(4));  // same time, armed later: after c
+  q.arm(tb, TimeNs::us(2));
+  q.arm(tb, TimeNs::us(6));  // the earliest moves behind the others
+  TimeNs now;
+  EXPECT_EQ(q.run_all(now), 3u);
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+TEST(EventQueue, UnknownTimerRejected) {
+  EventQueue q;
+  EXPECT_THROW(q.arm(0, TimeNs::us(1)), util::PreconditionError);
+  EXPECT_THROW(q.disarm(3), util::PreconditionError);
+}
+
+TEST(EventQueue, CancelChurnKeepsHeapAndSlabBounded) {
+  // The medium's pattern — replace the pending firing on nearly every
+  // event — is a timer re-arm: 100k of them leave one pending firing
+  // and never touch the slab.
+  EventQueue q;
+  for (int i = 0; i < 10; ++i) {
+    q.schedule(TimeNs::sec(100 + i), [] {});
+  }
+  Recorder r;
+  const TimerId t = q.add_timer<&Recorder::record>(r);
+  const std::size_t slots = q.slot_capacity();
+  for (int i = 0; i < 100000; ++i) {
+    q.arm(t, TimeNs::us(i % 997));
+  }
+  EXPECT_EQ(q.size(), 11u);
+  EXPECT_EQ(q.slot_capacity(), slots);
+  TimeNs now;
+  EXPECT_EQ(q.run_all(now), 11u);
+  EXPECT_EQ(r.hits, 1);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/require.hpp"
 
 namespace csmabw::mac {
@@ -95,11 +97,21 @@ TEST(PhyParams, DataTxRejectsNonPositivePayload) {
                util::PreconditionError);
 }
 
+/// A preset with its name.  The parameter prints as its name, so the
+/// discovered test names read `Presets/PhyPreset.SelfConsistent/dot11g`
+/// instead of the bytes (padding included) of PhyParams.
+struct NamedPreset {
+  const char* name;
+  PhyParams params;
+};
+
+void PrintTo(const NamedPreset& p, std::ostream* os) { *os << p.name; }
+
 /// All presets must be self-consistent and satisfy basic orderings.
-class PhyPreset : public ::testing::TestWithParam<PhyParams> {};
+class PhyPreset : public ::testing::TestWithParam<NamedPreset> {};
 
 TEST_P(PhyPreset, SelfConsistent) {
-  const PhyParams& p = GetParam();
+  const PhyParams& p = GetParam().params;
   EXPECT_NO_THROW(p.validate());
   EXPECT_GT(p.difs(), p.sifs);
   EXPECT_GT(p.eifs(), p.difs());
@@ -108,10 +120,11 @@ TEST_P(PhyPreset, SelfConsistent) {
   EXPECT_LT(p.saturation_rate(1500).to_bps(), p.data_rate_bps);
 }
 
-INSTANTIATE_TEST_SUITE_P(Presets, PhyPreset,
-                         ::testing::Values(PhyParams::dot11b_short(),
-                                           PhyParams::dot11b_long(),
-                                           PhyParams::dot11g()));
+INSTANTIATE_TEST_SUITE_P(
+    Presets, PhyPreset,
+    ::testing::Values(NamedPreset{"dot11b_short", PhyParams::dot11b_short()},
+                      NamedPreset{"dot11b_long", PhyParams::dot11b_long()},
+                      NamedPreset{"dot11g", PhyParams::dot11g()}));
 
 }  // namespace
 }  // namespace csmabw::mac

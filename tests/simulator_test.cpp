@@ -61,6 +61,12 @@ TEST(Simulator, PastSchedulingRejected) {
                util::PreconditionError);
   EXPECT_THROW((void)sim.schedule_in(TimeNs::ns(-1), [] {}),
                util::PreconditionError);
+  struct Nop {
+    void fire() {}
+  } nop;
+  const TimerId t = sim.add_timer<&Nop::fire>(nop);
+  EXPECT_THROW(sim.arm(t, TimeNs::us(15)), util::PreconditionError);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulator, PastDeadlineRejected) {
@@ -98,13 +104,74 @@ TEST(Simulator, CountsProcessedEvents) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+/// Timer target that logs now() at each firing and re-arms itself
+/// `period` later until it has fired `limit` times.
+struct Periodic {
+  explicit Periodic(Simulator& s, TimeNs every = TimeNs::zero(),
+                    std::size_t times = 1)
+      : sim(&s), period(every), limit(times) {
+    id = s.add_timer<&Periodic::tick>(*this);
+  }
+  Simulator* sim;
+  TimerId id = 0;
+  TimeNs period;
+  std::size_t limit;
+  std::vector<TimeNs> seen;
+  void tick() {
+    seen.push_back(sim->now());
+    if (seen.size() < limit) {
+      sim->arm(id, sim->now() + period);
+    }
+  }
+};
+
 TEST(Simulator, CancelledEventsDoNotRun) {
+  // Disarming a timer is the simulator's one cancellation.
   Simulator sim;
-  int fired = 0;
-  auto h = sim.schedule_at(TimeNs::us(2), [&] { ++fired; });
-  sim.schedule_at(TimeNs::us(1), [&] { h.cancel(); });
+  Periodic p(sim);
+  sim.arm(p.id, TimeNs::us(2));
+  sim.schedule_at(TimeNs::us(1), [&] { sim.disarm(p.id); });
   sim.run();
-  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(p.seen.empty());
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Simulator, TimerRearmsItselfFromItsCallback) {
+  Simulator sim;
+  Periodic p(sim, TimeNs::us(10), 3);
+  sim.arm(p.id, TimeNs::us(5));
+  sim.run();
+  EXPECT_EQ(p.seen, (std::vector<TimeNs>{TimeNs::us(5), TimeNs::us(15),
+                                         TimeNs::us(25)}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(sim.now(), TimeNs::us(25));
+}
+
+TEST(Simulator, RunUntilFiresTimerAtDeadlineAndKeepsLaterOne) {
+  Simulator sim;
+  Periodic a(sim);
+  Periodic b(sim);
+  sim.arm(a.id, TimeNs::us(20));
+  sim.arm(b.id, TimeNs::us(30));
+  sim.run_until(TimeNs::us(20));
+  EXPECT_EQ(a.seen, (std::vector<TimeNs>{TimeNs::us(20)}));
+  EXPECT_TRUE(b.seen.empty());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(TimeNs::us(40));
+  EXPECT_EQ(b.seen, (std::vector<TimeNs>{TimeNs::us(30)}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, TimerFiringCountsAsOneEvent) {
+  Simulator sim;
+  Periodic p(sim);
+  for (int i = 0; i < 5; ++i) {
+    sim.arm(p.id, TimeNs::us(10 - i));
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(p.seen, (std::vector<TimeNs>{TimeNs::us(6)}));
+  EXPECT_EQ(sim.events_processed(), 1u);
 }
 
 }  // namespace
