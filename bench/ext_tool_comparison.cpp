@@ -49,7 +49,8 @@ void run(bench::Bench& b, const util::Args& args) {
   }
   spec.train_lengths = {40};
   spec.probe_mbps = {5.0};
-  spec.repetitions = args.get("reps", 1);
+  spec.repetitions =
+      bench::count_flag(args, "reps", util::scaled_reps(1), 1);
   // Method axis: ground truth B first, then the wired-path tools.  The
   // per-tool knobs mirror the pre-engine serial version of this bench.
   spec.methods = {

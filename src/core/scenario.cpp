@@ -378,23 +378,6 @@ std::vector<TrafficModelPtr> parse_contender_models(
   return models;
 }
 
-/// Builds the cell's network in place (a returned prvalue is never
-/// copied).  The default bare `clique` needs no graph: the network's own
-/// complete graph fits any station count.  Every other topology is
-/// built by the registry for probe + contenders, and the medium picks
-/// its bookkeeping from the graph.
-mac::WlanNetwork make_network(const ScenarioConfig& cfg,
-                              std::uint64_t repetition) {
-  const std::uint64_t seed = stats::Rng(cfg.seed).fork(repetition).seed();
-  if (cfg.topology == topo::kDefaultTopology) {
-    return mac::WlanNetwork(cfg.phy, seed);
-  }
-  const int stations = 1 + static_cast<int>(cfg.contenders.size());
-  return mac::WlanNetwork(
-      cfg.phy, seed,
-      topo::TopologyRegistry::global().build(cfg.topology, stations));
-}
-
 TrafficModelPtr parse_fifo_model(const ScenarioConfig& cfg) {
   if (!cfg.fifo_cross.has_value()) {
     return nullptr;
@@ -410,6 +393,15 @@ TrafficModelPtr parse_fifo_model(const ScenarioConfig& cfg) {
 
 }  // namespace
 
+topo::TopologyPtr build_topology(const ScenarioConfig& cfg) {
+  if (cfg.topology == topo::kDefaultTopology) {
+    return nullptr;
+  }
+  return std::make_shared<const topo::Topology>(
+      topo::TopologyRegistry::global().build(
+          cfg.topology, 1 + static_cast<int>(cfg.contenders.size())));
+}
+
 ScenarioCell::ScenarioCell(const ScenarioConfig& cfg,
                            std::uint64_t repetition)
     : ScenarioCell(cfg, repetition, parse_contender_models(cfg),
@@ -419,11 +411,22 @@ ScenarioCell::ScenarioCell(
     const ScenarioConfig& cfg, std::uint64_t repetition,
     const std::vector<TrafficModelPtr>& contender_models,
     const TrafficModelPtr& fifo_model)
-    : net_(make_network(cfg, repetition)) {
+    : ScenarioCell(cfg, repetition, contender_models, fifo_model,
+                   build_topology(cfg)) {}
+
+ScenarioCell::ScenarioCell(
+    const ScenarioConfig& cfg, std::uint64_t repetition,
+    const std::vector<TrafficModelPtr>& contender_models,
+    const TrafficModelPtr& fifo_model, const topo::TopologyPtr& topology)
+    : net_(cfg.phy, stats::Rng(cfg.seed).fork(repetition).seed(), topology) {
   CSMABW_REQUIRE(contender_models.size() == cfg.contenders.size() &&
                      fifo_model.operator bool() ==
                          cfg.fifo_cross.has_value(),
                  "prebuilt traffic models do not match the scenario");
+  CSMABW_REQUIRE(topology == nullptr ||
+                     topology->num_nodes() ==
+                         1 + static_cast<int>(cfg.contenders.size()),
+                 "prebuilt topology does not match the station count");
   mac::DcfStation& probe = net_.add_station();
   dispatchers_.push_back(std::make_unique<traffic::FlowDispatcher>(probe));
   for (std::size_t i = 0; i < cfg.contenders.size(); ++i) {
@@ -486,12 +489,9 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_(std::move(cfg)) {
   // here, not mid-campaign, and every repetition reuses these models.
   contender_models_ = parse_contender_models(cfg_);
   fifo_model_ = parse_fifo_model(cfg_);
-  if (cfg_.topology != topo::kDefaultTopology) {
-    // Same eagerness for the topology: surfaces unknown names, bad
-    // args and station-count mismatches before any repetition runs.
-    (void)topo::TopologyRegistry::global().build(
-        cfg_.topology, 1 + static_cast<int>(cfg_.contenders.size()));
-  }
+  // Same for the topology: a bad spec fails here, and every
+  // repetition's medium reads this one graph.
+  topology_ = build_topology(cfg_);
 }
 
 TrainRun Scenario::run_train(const traffic::TrainSpec& spec,
@@ -501,7 +501,8 @@ TrainRun Scenario::run_train(const traffic::TrainSpec& spec,
                              obs::Registry* metrics) const {
   CSMABW_REQUIRE(!sample_contender_queue || !cfg_.contenders.empty(),
                  "queue sampling needs at least one contender");
-  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_);
+  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_,
+                    topology_);
   cell.set_trace(trace);
   cell.set_metrics(metrics);
   auto& sim = cell.simulator();
@@ -554,7 +555,7 @@ SteadyStateResult Scenario::run_steady_state(BitRate probe_rate,
                  "measurement must start after warm-up");
   CSMABW_REQUIRE(duration > measure_from, "duration must exceed window start");
   ScenarioCell cell(cfg_, /*repetition=*/0, contender_models_,
-                    fifo_model_);
+                    fifo_model_, topology_);
   cell.set_trace(trace);
   auto& sim = cell.simulator();
 
@@ -606,7 +607,8 @@ ContentionResult Scenario::run_contention(TimeNs duration,
   CSMABW_REQUIRE(measure_from >= TimeNs::zero(),
                  "measurement start must be >= 0");
   CSMABW_REQUIRE(duration > measure_from, "duration must exceed window start");
-  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_);
+  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_,
+                    topology_);
   cell.set_trace(trace);
 
   std::vector<std::unique_ptr<traffic::FlowMeter>> meters;
@@ -635,7 +637,8 @@ TrainSequenceResult Scenario::run_train_sequence(
     const traffic::TrainSpec& spec, int trains, TimeNs mean_spacing,
     std::uint64_t repetition) const {
   CSMABW_REQUIRE(trains >= 1, "need at least one train");
-  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_);
+  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_,
+                    topology_);
   auto& sim = cell.simulator();
   stats::Rng spacing_rng = cell.net().rng("train-spacing");
 

@@ -13,6 +13,7 @@
 #include "mac/packet.hpp"
 #include "mac/phy.hpp"
 #include "mac/wlan.hpp"
+#include "topo/topology.hpp"
 #include "traffic/model.hpp"
 #include "traffic/probe_train.hpp"
 #include "util/time.hpp"
@@ -51,8 +52,8 @@ struct ScenarioConfig {
   /// (station 0 is the probe).  The default bare `clique` is the
   /// paper's single collision domain; any other topology (including
   /// pinned `clique:N`, which must match the station count) is built by
-  /// the registry.  mac::Medium takes its complete-graph path on every
-  /// complete graph and its sparse path on the rest.
+  /// the registry, once per Scenario.  mac::Medium takes its
+  /// complete-graph path on every complete graph, its sparse path else.
   std::string topology = "clique";
   /// One entry per contending station.
   std::vector<StationSpec> contenders;
@@ -162,6 +163,11 @@ class ScenarioRegistry {
   std::map<std::string, ScenarioSpec, std::less<>> specs_;
 };
 
+/// The conflict graph of `cfg`'s cell, built by topo::TopologyRegistry
+/// for probe + contenders; null for the bare `clique`, which needs none.
+/// Throws util::PreconditionError like TopologyRegistry::build.
+[[nodiscard]] topo::TopologyPtr build_topology(const ScenarioConfig& cfg);
+
 /// Flow-id convention inside scenarios.
 inline constexpr int kProbeFlow = 1000;
 inline constexpr int kFifoCrossFlow = 1001;
@@ -182,7 +188,7 @@ class ScenarioCell {
   /// Builds and starts the cell; repetition r of seed s reproduces the
   /// exact random streams of every other build with (s, r).  Parses the
   /// config's traffic specs; per-repetition hot loops should prefer the
-  /// prebuilt-model overload (Scenario does).
+  /// prebuilt overloads (Scenario does).
   ScenarioCell(const ScenarioConfig& cfg, std::uint64_t repetition);
 
   /// Prebuilt-model fast path: `contender_models[i]` drives contender i
@@ -191,6 +197,12 @@ class ScenarioCell {
   ScenarioCell(const ScenarioConfig& cfg, std::uint64_t repetition,
                const std::vector<TrafficModelPtr>& contender_models,
                const TrafficModelPtr& fifo_model);
+
+  /// Also prebuilt: the medium reads `topology` (build_topology(cfg)).
+  ScenarioCell(const ScenarioConfig& cfg, std::uint64_t repetition,
+               const std::vector<TrafficModelPtr>& contender_models,
+               const TrafficModelPtr& fifo_model,
+               const topo::TopologyPtr& topology);
 
   [[nodiscard]] mac::WlanNetwork& net() { return net_; }
   [[nodiscard]] sim::Simulator& simulator() { return net_.simulator(); }
@@ -280,11 +292,13 @@ struct TrainSequenceResult {
 /// Each run constructs a fresh ScenarioCell seeded from (seed,
 /// repetition), warms the cross-traffic up, injects probe traffic and
 /// harvests the records — exactly the ensemble methodology of Section 4.
+/// The conflict graph belongs to the scenario: built once, here, and
+/// read by every repetition's medium (shared read-only across threads).
 class Scenario {
  public:
-  /// Validates the PHY and parses every traffic spec eagerly (throws
-  /// before any run starts); the parsed models are cached and shared
-  /// with every per-repetition cell.
+  /// Validates the PHY, parses every traffic spec and builds the graph
+  /// eagerly (throws before any run starts); the models and the graph
+  /// are shared with every per-repetition cell.
   explicit Scenario(ScenarioConfig cfg);
 
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
@@ -321,9 +335,10 @@ class Scenario {
 
  private:
   ScenarioConfig cfg_;
-  /// Parsed once at construction; shared with every repetition's cell.
+  /// Built once at construction; shared with every repetition's cell.
   std::vector<TrafficModelPtr> contender_models_;
   TrafficModelPtr fifo_model_;
+  topo::TopologyPtr topology_;  ///< null for the bare `clique`
 };
 
 /// ProbeTransport implementation backed by a Scenario: every train runs

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "mac/station.hpp"
 #include "trace/event.hpp"
@@ -15,28 +17,23 @@ std::size_t at(int i) { return static_cast<std::size_t>(i); }
 
 }  // namespace
 
-Medium::Medium(sim::Simulator& sim, const PhyParams& phy)
+Medium::Medium(sim::Simulator& sim, const PhyParams& phy,
+               topo::TopologyPtr topology)
     : sim_(sim),
       phy_(phy),
+      topology_(std::move(topology)),
       fire_timer_(sim.add_timer<&Medium::fire>(*this)),
       end_timer_(sim.add_timer<&Medium::advance>(*this)) {
   phy_.validate();
-}
-
-Medium::Medium(sim::Simulator& sim, const PhyParams& phy,
-               topo::Topology topology)
-    : Medium(sim, phy) {
-  topology.validate();
-  const int n = topology.num_nodes();
-  capacity_ = n;
-  spec_ = std::move(topology.spec);
+  if (topology_ == nullptr) {
+    return;
+  }
+  const int n = topology_->num_nodes();
   stations_.reserve(at(n));
-  complete_ = topology.is_clique();
+  complete_ = topology_->is_clique();
   if (complete_) {
     return;
   }
-  sense_csr_ = topo::CsrAdjacency(topology.sense);
-  interfere_csr_ = topo::CsrAdjacency(topology.interfere);
   sensed_tx_.assign(at(n), 0);
   node_idle_start_.assign(at(n), TimeNs{});
   saw_corrupt_.assign(at(n), 0);
@@ -51,9 +48,11 @@ Medium::Medium(sim::Simulator& sim, const PhyParams& phy,
 
 int Medium::register_station(DcfStation* s) {
   CSMABW_REQUIRE(s != nullptr, "null station");
-  CSMABW_REQUIRE(capacity_ < 0 ||
-                     static_cast<int>(stations_.size()) < capacity_,
-                 "topology `" + spec_ + "` has " + std::to_string(capacity_) +
+  CSMABW_REQUIRE(topology_ == nullptr ||
+                     static_cast<int>(stations_.size()) <
+                         topology_->num_nodes(),
+                 "topology `" + topology_->spec() + "` has " +
+                     std::to_string(topology_->num_nodes()) +
                      " nodes; cannot register another station");
   stations_.push_back(s);
   if (complete_) {
@@ -280,7 +279,7 @@ void Medium::seize(TimeNs now) {
   went_busy_.clear();
   for (int w : winners_) {
     m_sweeps_.add(1);
-    for (int nb : sense_csr_.row(w)) {
+    for (int nb : topology_->sense(w)) {
       if (sensed_tx_[at(nb)]++ == 0) {
         went_busy_.push_back(nb);
       }
@@ -339,7 +338,7 @@ void Medium::detect_corruption(TimeNs now) {
   for (int w : winners_) {
     Tx& wt = txs_[at(tx_state_[at(w)])];
     m_sweeps_.add(1);
-    for (int j : interfere_csr_.row(w)) {
+    for (int j : topology_->interfere(w)) {
       const std::int32_t jt_idx = tx_state_[at(j)];
       if (jt_idx < 0) {
         continue;  // j is not on the air
@@ -434,7 +433,7 @@ void Medium::release(TimeNs now) {
     own_outcome_[at(t.station)] = 1;
     tx_state_[at(t.station)] = kTxIdle;
     m_sweeps_.add(1);
-    for (int nb : sense_csr_.row(t.station)) {
+    for (int nb : topology_->sense(t.station)) {
       if (t.corrupted) {
         saw_corrupt_[at(nb)] = 1;
       }

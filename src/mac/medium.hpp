@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mac/phy.hpp"
@@ -75,7 +74,8 @@ struct MediumStats {
 ///    per occupation, at which every transmitter's outcome is delivered
 ///    in ascending station order before the bystanders'.  No
 ///    per-station counts, sorts or heaps.
-///  - Any other graph: flat CSR copies of the two edge sets, per-station
+///  - Any other graph: walks over the shared topology's own CSR rows
+///    (never copied or re-checked), per-station
 ///    sensed-transmission counts and idle origins, and two addressable
 ///    min-heaps (sim::TimerIndex) of fire times and transmission ends
 ///    keyed (time, station).  Every per-event cost is O(degree log N):
@@ -94,11 +94,11 @@ struct MediumStats {
 /// registered.
 class Medium {
  public:
-  /// Complete graph over any number of stations.
-  Medium(sim::Simulator& sim, const PhyParams& phy);
-  /// Conflict graph `topology`; at most `topology.num_nodes()` stations
-  /// may register, and exactly that many before the simulation starts.
-  Medium(sim::Simulator& sim, const PhyParams& phy, topo::Topology topology);
+  /// Conflict graph `topology` (null: complete graph over any number of
+  /// stations); at most its node count of stations may register, and
+  /// exactly that many before the simulation starts.
+  Medium(sim::Simulator& sim, const PhyParams& phy,
+         topo::TopologyPtr topology = nullptr);
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -188,9 +188,8 @@ class Medium {
   sim::Simulator& sim_;
   PhyParams phy_;
   MediumStats stats_;
-  /// Registration cap: the topology's node count, or -1 (unbounded).
-  int capacity_ = -1;
-  std::string spec_;
+  /// The conflict graph; null = complete graph, unbounded registration.
+  topo::TopologyPtr topology_;
   /// Chosen once from the topology: complete-graph bookkeeping.
   bool complete_ = true;
   std::vector<DcfStation*> stations_;
@@ -205,10 +204,7 @@ class Medium {
   std::vector<Contender> contenders_;
   int min_slot_ = -1;  ///< index of the cached earliest fire, -1 = none
 
-  // Sparse graph: adjacency and structure-of-arrays channel state,
-  // indexed by node.
-  topo::CsrAdjacency sense_csr_;
-  topo::CsrAdjacency interfere_csr_;
+  // Sparse graph: structure-of-arrays channel state, indexed by node.
   std::vector<std::int32_t> sensed_tx_;  ///< sensing neighbors on the air
   std::vector<TimeNs> node_idle_start_;  ///< last busy->idle transition
   std::vector<char> saw_corrupt_;  ///< corrupted neighbor tx this period

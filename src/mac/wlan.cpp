@@ -2,11 +2,8 @@
 
 namespace csmabw::mac {
 
-WlanNetwork::WlanNetwork(const PhyParams& phy, std::uint64_t seed)
-    : root_rng_(seed), medium_(sim_, phy) {}
-
 WlanNetwork::WlanNetwork(const PhyParams& phy, std::uint64_t seed,
-                         topo::Topology topology)
+                         topo::TopologyPtr topology)
     : root_rng_(seed), medium_(sim_, phy, std::move(topology)) {}
 
 DcfStation& WlanNetwork::add_station() {

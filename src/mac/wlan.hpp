@@ -19,13 +19,12 @@ namespace csmabw::mac {
 /// `traffic/`) attach to stations by reference.
 class WlanNetwork {
  public:
-  /// One collision domain (a complete graph) over any number of
-  /// stations.
-  WlanNetwork(const PhyParams& phy, std::uint64_t seed);
-  /// A cell over conflict graph `topology`: exactly its node count of
-  /// stations must be added before the simulation starts.
+  /// A cell over conflict graph `topology`, shared read-only with the
+  /// medium: exactly its node count of stations must be added before
+  /// the simulation starts.  Null is one collision domain (a complete
+  /// graph) over any number of stations.
   WlanNetwork(const PhyParams& phy, std::uint64_t seed,
-              topo::Topology topology);
+              topo::TopologyPtr topology = nullptr);
 
   WlanNetwork(const WlanNetwork&) = delete;
   WlanNetwork& operator=(const WlanNetwork&) = delete;

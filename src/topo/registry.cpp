@@ -129,9 +129,7 @@ Topology TopologyRegistry::build(std::string_view spec, int stations) const {
   std::string_view arg;
   const Generator& gen = find(spec, name, arg);
   gen.canonicalize(arg);  // reject malformed args with the grammar error
-  Topology t = gen.build(arg, stations);
-  t.validate();
-  return t;
+  return gen.build(arg, stations);  // a Topology is valid by construction
 }
 
 void TopologyRegistry::register_builtins(TopologyRegistry& registry) {

@@ -52,9 +52,9 @@ class TopologyRegistry {
   /// ("grid:03x3" -> "grid:3x3").  Station count is not checked here.
   [[nodiscard]] std::string canonical(std::string_view spec) const;
 
-  /// Builds and validates the conflict graph of `spec` for a cell of
-  /// `stations` stations.  Throws util::PreconditionError on unknown
-  /// names, malformed args or a node-count mismatch.
+  /// Builds the conflict graph of `spec` for a cell of `stations`
+  /// stations.  Throws util::PreconditionError on unknown names,
+  /// malformed args or a node-count mismatch.
   [[nodiscard]] Topology build(std::string_view spec, int stations) const;
 
   /// Registers the built-in generators: clique, grid, ring,

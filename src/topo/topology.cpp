@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -10,28 +11,25 @@ namespace csmabw::topo {
 
 namespace {
 
-bool adjacent(const std::vector<std::vector<int>>& adj, int a, int b) {
-  if (a < 0 || a >= static_cast<int>(adj.size())) {
-    return false;
-  }
-  const std::vector<int>& row = adj[static_cast<std::size_t>(a)];
-  return std::binary_search(row.begin(), row.end(), b);
-}
+using Rows = Topology::Rows;
 
-void add_edge(std::vector<std::vector<int>>& adj, int a, int b) {
+void add_edge(Rows& adj, int a, int b) {
   adj[static_cast<std::size_t>(a)].push_back(b);
   adj[static_cast<std::size_t>(b)].push_back(a);
 }
 
-void sort_unique(std::vector<std::vector<int>>& adj) {
+void sort_unique(Rows& adj) {
   for (std::vector<int>& row : adj) {
     std::sort(row.begin(), row.end());
     row.erase(std::unique(row.begin(), row.end()), row.end());
   }
 }
 
-void check_adjacency(const std::vector<std::vector<int>>& adj, int n,
-                     const char* what) {
+bool contains(std::span<const int> row, int b) {
+  return std::binary_search(row.begin(), row.end(), b);
+}
+
+void check_adjacency(const Rows& adj, int n, const char* what) {
   for (int i = 0; i < n; ++i) {
     const std::vector<int>& row = adj[static_cast<std::size_t>(i)];
     // One linear pass: strict ascent implies sorted, unique and (with
@@ -45,7 +43,7 @@ void check_adjacency(const std::vector<std::vector<int>>& adj, int n,
       CSMABW_REQUIRE(j >= 0 && j < n,
                      std::string(what) + " edge endpoint out of range");
       CSMABW_REQUIRE(j != i, std::string(what) + " self-loop");
-      CSMABW_REQUIRE(adjacent(adj, j, i),
+      CSMABW_REQUIRE(contains(adj[static_cast<std::size_t>(j)], i),
                      std::string(what) + " adjacency must be symmetric");
     }
   }
@@ -53,7 +51,7 @@ void check_adjacency(const std::vector<std::vector<int>>& adj, int n,
 
 }  // namespace
 
-CsrAdjacency::CsrAdjacency(const std::vector<std::vector<int>>& rows) {
+CsrAdjacency::CsrAdjacency(const Rows& rows) {
   std::size_t total = 0;
   for (const std::vector<int>& row : rows) {
     total += row.size();
@@ -61,65 +59,55 @@ CsrAdjacency::CsrAdjacency(const std::vector<std::vector<int>>& rows) {
   offsets_.reserve(rows.size() + 1);
   targets_.reserve(total);
   for (const std::vector<int>& row : rows) {
-    for (int j : row) {
-      targets_.push_back(static_cast<std::int32_t>(j));
-    }
-    offsets_.push_back(static_cast<std::int32_t>(targets_.size()));
+    targets_.insert(targets_.end(), row.begin(), row.end());
+    offsets_.push_back(static_cast<int>(targets_.size()));
   }
 }
 
-bool Topology::is_clique() const {
-  const int n = num_nodes();
-  for (int i = 0; i < n; ++i) {
-    if (static_cast<int>(sense[static_cast<std::size_t>(i)].size()) != n - 1 ||
-        static_cast<int>(interfere[static_cast<std::size_t>(i)].size()) !=
-            n - 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Topology::senses(int a, int b) const { return adjacent(sense, a, b); }
-
-bool Topology::interferes(int a, int b) const {
-  return adjacent(interfere, a, b);
-}
-
-std::vector<int> Topology::hidden_from(int i) const {
-  std::vector<int> out;
-  for (int j : interfere[static_cast<std::size_t>(i)]) {
-    if (!senses(i, j)) {
-      out.push_back(j);
-    }
-  }
-  return out;
-}
-
-void Topology::validate() const {
-  const int n = num_nodes();
+Topology::Topology(std::string spec, const Rows& sense, const Rows& interfere)
+    : spec_(std::move(spec)) {
+  const int n = static_cast<int>(sense.size());
   CSMABW_REQUIRE(n >= 1, "topology must have at least one node");
   CSMABW_REQUIRE(static_cast<int>(interfere.size()) == n,
                  "sense/interfere node counts differ");
   check_adjacency(sense, n, "sense");
   check_adjacency(interfere, n, "interfere");
   for (int i = 0; i < n; ++i) {
-    const std::vector<int>& s = sense[static_cast<std::size_t>(i)];
-    const std::vector<int>& f = interfere[static_cast<std::size_t>(i)];
-    // Both rows are sorted (checked above), so subset is one merge.
-    if (!std::includes(f.begin(), f.end(), s.begin(), s.end())) {
-      int j = -1;  // re-find the offending edge only on the error path
-      for (int k : s) {
-        if (!std::binary_search(f.begin(), f.end(), k)) {
-          j = k;
-          break;
-        }
-      }
-      CSMABW_REQUIRE(false, "sensing implies interference: sense edge " +
-                                std::to_string(i) + "-" + std::to_string(j) +
-                                " missing from the interference set");
+    for (int j : sense[static_cast<std::size_t>(i)]) {
+      CSMABW_REQUIRE(contains(interfere[static_cast<std::size_t>(i)], j),
+                     "sensing implies interference: sense edge " +
+                         std::to_string(i) + "-" + std::to_string(j) +
+                         " missing from the interference set");
     }
   }
+  sense_ = CsrAdjacency(sense);
+  interfere_ = CsrAdjacency(interfere);
+}
+
+bool Topology::is_clique() const {
+  // Rows are unique, in range and self-loop-free, so n(n-1) entries per
+  // edge set means every row is complete.
+  const auto n = static_cast<std::size_t>(num_nodes());
+  return sense_.num_entries() == n * (n - 1) &&
+         interfere_.num_entries() == n * (n - 1);
+}
+
+bool Topology::senses(int a, int b) const {
+  return a >= 0 && a < num_nodes() && contains(sense(a), b);
+}
+
+bool Topology::interferes(int a, int b) const {
+  return a >= 0 && a < num_nodes() && contains(interfere(a), b);
+}
+
+std::vector<int> Topology::hidden_from(int i) const {
+  std::vector<int> out;
+  for (int j : interfere(i)) {
+    if (!senses(i, j)) {
+      out.push_back(j);
+    }
+  }
+  return out;
 }
 
 Topology Topology::clique(int n) {
@@ -128,19 +116,15 @@ Topology Topology::clique(int n) {
                  "clique size " + std::to_string(n) + " exceeds the dense-"
                  "topology cap of " + std::to_string(kMaxDenseTopologyNodes) +
                  " stations (edge count is quadratic)");
-  Topology t;
-  t.spec = "clique:" + std::to_string(n);
-  t.sense.resize(static_cast<std::size_t>(n));
+  Rows all(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (j != i) {
-        t.sense[static_cast<std::size_t>(i)].push_back(j);
+        all[static_cast<std::size_t>(i)].push_back(j);
       }
     }
   }
-  t.interfere = t.sense;
-  t.validate();
-  return t;
+  return Topology("clique:" + std::to_string(n), all, all);
 }
 
 Topology Topology::grid(int rows, int cols) {
@@ -150,10 +134,8 @@ Topology Topology::grid(int rows, int cols) {
                      " exceeds the topology cap of " +
                      std::to_string(kMaxTopologyNodes) + " stations");
   const int n = rows * cols;
-  Topology t;
-  t.spec = "grid:" + std::to_string(rows) + "x" + std::to_string(cols);
-  t.sense.resize(static_cast<std::size_t>(n));
-  t.interfere.resize(static_cast<std::size_t>(n));
+  Rows sense(static_cast<std::size_t>(n));
+  Rows interfere(static_cast<std::size_t>(n));
   // Enumerate the (dr, dc) offsets with |dr| + |dc| <= 2 in row-major
   // order, so every row comes out sorted without a sort pass and the
   // whole build is O(N) — the old all-pairs double loop was the
@@ -161,8 +143,8 @@ Topology Topology::grid(int rows, int cols) {
   for (int a = 0; a < n; ++a) {
     const int ra = a / cols;
     const int ca = a % cols;
-    std::vector<int>& srow = t.sense[static_cast<std::size_t>(a)];
-    std::vector<int>& frow = t.interfere[static_cast<std::size_t>(a)];
+    std::vector<int>& srow = sense[static_cast<std::size_t>(a)];
+    std::vector<int>& frow = interfere[static_cast<std::size_t>(a)];
     srow.reserve(4);
     frow.reserve(12);
     for (int dr = -2; dr <= 2; ++dr) {
@@ -187,8 +169,8 @@ Topology Topology::grid(int rows, int cols) {
       }
     }
   }
-  t.validate();
-  return t;
+  return Topology("grid:" + std::to_string(rows) + "x" + std::to_string(cols),
+                  sense, interfere);
 }
 
 Topology Topology::ring(int n) {
@@ -197,10 +179,8 @@ Topology Topology::ring(int n) {
                  "ring size " + std::to_string(n) +
                      " exceeds the topology cap of " +
                      std::to_string(kMaxTopologyNodes) + " stations");
-  Topology t;
-  t.spec = "ring:" + std::to_string(n);
-  t.sense.resize(static_cast<std::size_t>(n));
-  t.interfere.resize(static_cast<std::size_t>(n));
+  Rows sense(static_cast<std::size_t>(n));
+  Rows interfere(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     for (int step : {1, 2}) {
       const int j = (i + step) % n;
@@ -208,15 +188,14 @@ Topology Topology::ring(int n) {
         continue;  // tiny rings: a step that wraps onto itself is no edge
       }
       if (step == 1) {
-        add_edge(t.sense, i, j);
+        add_edge(sense, i, j);
       }
-      add_edge(t.interfere, i, j);
+      add_edge(interfere, i, j);
     }
   }
-  sort_unique(t.sense);
-  sort_unique(t.interfere);
-  t.validate();
-  return t;
+  sort_unique(sense);
+  sort_unique(interfere);
+  return Topology("ring:" + std::to_string(n), sense, interfere);
 }
 
 Topology Topology::hidden_pairs(int n) {
@@ -226,26 +205,23 @@ Topology Topology::hidden_pairs(int n) {
                      " exceeds the dense-topology cap of " +
                      std::to_string(kMaxDenseTopologyNodes) +
                      " stations (edge count is quadratic)");
-  Topology t;
-  t.spec = "pairs-hidden:" + std::to_string(n);
-  t.sense.resize(static_cast<std::size_t>(n));
-  t.interfere.resize(static_cast<std::size_t>(n));
+  Rows interfere(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (j != i) {
-        t.interfere[static_cast<std::size_t>(i)].push_back(j);
+        interfere[static_cast<std::size_t>(i)].push_back(j);
       }
     }
   }
-  t.validate();
-  return t;
+  return Topology("pairs-hidden:" + std::to_string(n),
+                  Rows(static_cast<std::size_t>(n)), interfere);
 }
 
 Topology Topology::from_file(const std::string& path) {
   std::ifstream in(path);
   CSMABW_REQUIRE(in.is_open(), "cannot open topology file `" + path + "`");
-  Topology t;
-  t.spec = "file:" + path;
+  Rows sense;
+  Rows interfere;
   int n = -1;
   std::string line;
   int lineno = 0;
@@ -269,8 +245,8 @@ Topology Topology::from_file(const std::string& path) {
       CSMABW_REQUIRE(n <= kMaxTopologyNodes,
                      where + ": node count exceeds the topology cap of " +
                          std::to_string(kMaxTopologyNodes));
-      t.sense.resize(static_cast<std::size_t>(n));
-      t.interfere.resize(static_cast<std::size_t>(n));
+      sense.resize(static_cast<std::size_t>(n));
+      interfere.resize(static_cast<std::size_t>(n));
       continue;
     }
     CSMABW_REQUIRE(n >= 1, where + ": nodes: must come first");
@@ -286,16 +262,15 @@ Topology Topology::from_file(const std::string& path) {
     CSMABW_REQUIRE(a >= 0 && a < n && b >= 0 && b < n && a != b,
                    where + ": edge endpoints out of range");
     if (tag == "sense:") {
-      add_edge(t.sense, a, b);
+      add_edge(sense, a, b);
     }
-    add_edge(t.interfere, a, b);  // sensing implies interference
+    add_edge(interfere, a, b);  // sensing implies interference
   }
   CSMABW_REQUIRE(n >= 1,
                  "topology file `" + path + "` has no nodes: directive");
-  sort_unique(t.sense);
-  sort_unique(t.interfere);
-  t.validate();
-  return t;
+  sort_unique(sense);
+  sort_unique(interfere);
+  return Topology("file:" + path, sense, interfere);
 }
 
 }  // namespace csmabw::topo

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,13 +17,10 @@ inline constexpr int kMaxTopologyNodes = 1 << 20;
 /// whose edge count is quadratic in the node count.
 inline constexpr int kMaxDenseTopologyNodes = 2048;
 
-/// Flat compressed-sparse-row copy of a sorted adjacency-list
-/// structure: one contiguous target array plus n+1 row offsets.  The
-/// per-node vector-of-vectors layout stays the construction/query
-/// format of topo::Topology (cheap to build incrementally, friendly to
-/// tests); the CSR copy is what the medium hot path sweeps — a
-/// neighborhood walk is a contiguous int32 span, one cache stream, no
-/// per-row pointer chase.
+/// Compressed-sparse-row adjacency: one contiguous target array plus
+/// n+1 row offsets.  It is topo::Topology's one storage layout, and a
+/// neighborhood walk on the medium's hot path is a contiguous span —
+/// one cache stream, no per-row pointer chase.
 class CsrAdjacency {
  public:
   CsrAdjacency() = default;
@@ -33,21 +30,17 @@ class CsrAdjacency {
     return static_cast<int>(offsets_.size()) - 1;
   }
   [[nodiscard]] std::size_t num_entries() const { return targets_.size(); }
-  [[nodiscard]] std::span<const std::int32_t> row(int i) const {
-    const std::size_t b =
+  [[nodiscard]] std::span<const int> row(int i) const {
+    const auto b =
         static_cast<std::size_t>(offsets_[static_cast<std::size_t>(i)]);
-    const std::size_t e =
+    const auto e =
         static_cast<std::size_t>(offsets_[static_cast<std::size_t>(i) + 1]);
     return {targets_.data() + b, targets_.data() + e};
   }
-  [[nodiscard]] int degree(int i) const {
-    return offsets_[static_cast<std::size_t>(i) + 1] -
-           offsets_[static_cast<std::size_t>(i)];
-  }
 
  private:
-  std::vector<std::int32_t> offsets_{0};
-  std::vector<std::int32_t> targets_;
+  std::vector<int> offsets_{0};
+  std::vector<int> targets_;
 };
 
 /// A carrier-sense/interference conflict graph over the stations of one
@@ -56,36 +49,51 @@ class CsrAdjacency {
 /// Node i is station i (station 0 is conventionally the probe).  Two
 /// symmetric edge sets describe the radio geometry:
 ///
-///  - `sense`:     j in sense[i] means i hears j's transmissions —
+///  - `sense`:     j in sense(i) means i hears j's transmissions —
 ///                 carrier sense defers, backoff freezes, EIFS applies.
-///  - `interfere`: j in interfere[i] means a frame of i overlapping a
+///  - `interfere`: j in interfere(i) means a frame of i overlapping a
 ///                 transmission of j is corrupted at the receiver.
 ///
-/// Sensing implies interference (sense[i] is a subset of interfere[i]):
+/// Sensing implies interference (sense(i) is a subset of interfere(i)):
 /// a signal strong enough to trip carrier sense is strong enough to
 /// corrupt.  The interesting regimes live in the gap between the two
 /// sets:
 ///
-///  - hidden terminal:  j in interfere[i] but not in sense[i] — i cannot
+///  - hidden terminal:  j in interfere(i) but not in sense(i) — i cannot
 ///    defer to j, so their frames collide whenever they overlap in time,
 ///    not just on slot-boundary coincidences.
-///  - exposed terminal: j in sense[i] but i's and j's own neighborhoods
+///  - exposed terminal: j in sense(i) but i's and j's own neighborhoods
 ///    barely overlap — i defers to j although their receivers would both
 ///    survive; spatial reuse is what the conflict graph gives back when
 ///    the edge is absent.
 ///
 /// A complete graph on both sets (`is_clique()`) is exactly the paper's
 /// single collision domain.
-struct Topology {
-  /// Canonical generator spec this topology was built from
-  /// ("grid:3x3", "clique", ...); diagnostic only.
-  std::string spec;
-  /// Sorted, symmetric, self-loop-free adjacency lists.
-  std::vector<std::vector<int>> sense;
-  std::vector<std::vector<int>> interfere;
+///
+/// Immutable and valid by construction, so nothing downstream re-checks
+/// it: core::Scenario builds one per scenario and shares it read-only
+/// (TopologyPtr) with every repetition's mac::Medium, across workers.
+class Topology {
+ public:
+  /// Adjacency lists, one per node: the generators' construction format.
+  using Rows = std::vector<std::vector<int>>;
 
-  [[nodiscard]] int num_nodes() const {
-    return static_cast<int>(sense.size());
+  /// The one constructor: throws util::PreconditionError unless both
+  /// edge sets have the same n >= 1 rows, each sorted, unique,
+  /// symmetric, self-loop-free and in range, with sense[i] a subset of
+  /// interfere[i]; then stores both as CSR, in O(E log deg).  `spec`
+  /// ("grid:3x3", ...) is diagnostic only.
+  Topology(std::string spec, const Rows& sense, const Rows& interfere);
+
+  [[nodiscard]] const std::string& spec() const { return spec_; }
+  [[nodiscard]] int num_nodes() const { return sense_.num_nodes(); }
+  /// Node i's sensing neighbors, ascending.
+  [[nodiscard]] std::span<const int> sense(int i) const {
+    return sense_.row(i);
+  }
+  /// Node i's interferers, ascending (a superset of sense(i)).
+  [[nodiscard]] std::span<const int> interfere(int i) const {
+    return interfere_.row(i);
   }
   /// True when both edge sets are complete — one collision domain, on
   /// which mac::Medium keeps its complete-graph bookkeeping.
@@ -94,15 +102,6 @@ struct Topology {
   [[nodiscard]] bool interferes(int a, int b) const;
   /// Nodes j interfering with i that i cannot sense (hidden from i).
   [[nodiscard]] std::vector<int> hidden_from(int i) const;
-
-  /// Throws util::PreconditionError unless both adjacency structures are
-  /// sorted, unique, symmetric, self-loop-free, in range, and
-  /// sense[i] is a subset of interfere[i] for every i.  Scales to the
-  /// lattice campaigns: one linear pass per row for the
-  /// sorted/unique/range invariants, a sorted merge (std::includes) per
-  /// node for the subset invariant, O(E log deg) for symmetry — a
-  /// 10k-node grid validates in well under 100 ms.
-  void validate() const;
 
   /// Complete graph on n >= 1 nodes: today's single collision domain.
   [[nodiscard]] static Topology clique(int n);
@@ -122,6 +121,14 @@ struct Topology {
   /// (one undirected edge each, '#' comments, `nodes: N` mandatory
   /// first directive); sense edges imply interference.
   [[nodiscard]] static Topology from_file(const std::string& path);
+
+ private:
+  std::string spec_;
+  CsrAdjacency sense_;
+  CsrAdjacency interfere_;
 };
+
+/// The shared, read-only handle every repetition's medium reads.
+using TopologyPtr = std::shared_ptr<const Topology>;
 
 }  // namespace csmabw::topo

@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "mac/station.hpp"
@@ -130,7 +132,8 @@ TEST(EventAllocation, TimerRearmChurnIsHeapFree) {
 void expect_heap_free_drain(topo::Topology topology) {
   const int n = topology.num_nodes();
   mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 3,
-                       std::move(topology));
+                       std::make_shared<const topo::Topology>(
+                           std::move(topology)));
   std::vector<mac::DcfStation*> stations;
   for (int i = 0; i < n; ++i) {
     stations.push_back(&net.add_station());

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -24,6 +24,11 @@ namespace csmabw::mac {
 namespace {
 
 using topo::Topology;
+using topo::TopologyPtr;
+
+TopologyPtr shared(Topology t) {
+  return std::make_shared<const Topology>(std::move(t));
+}
 
 Packet make_packet(int flow, int seq, int bytes = 1500) {
   Packet p;
@@ -50,26 +55,19 @@ class VectorSink final : public trace::TraceSink {
   std::vector<trace::TraceEvent> events;
 };
 
-/// A cell on the complete graph of WlanNetwork(phy, seed), or on
-/// `topology`.
+/// A cell on `topology`, or on the complete graph when it is null.
 std::unique_ptr<WlanNetwork> make_net(const PhyParams& phy,
                                       std::uint64_t seed,
-                                      const std::optional<Topology>& topology) {
-  if (!topology) {
-    return std::make_unique<WlanNetwork>(phy, seed);
-  }
-  return std::make_unique<WlanNetwork>(phy, seed, *topology);
+                                      const TopologyPtr& topology) {
+  return std::make_unique<WlanNetwork>(phy, seed, topology);
 }
 
 /// Nodes 0-2 form a clique; node 3 hears and disturbs nobody.  Not a
 /// complete graph, so the medium keeps sparse bookkeeping, while
 /// stations 0-2 share one collision domain as on clique:3.
-Topology clique3_plus_isolated() {
-  Topology t;
-  t.spec = "clique:3+isolated";
-  t.sense = {{1, 2}, {0, 2}, {0, 1}, {}};
-  t.interfere = t.sense;
-  return t;
+TopologyPtr clique3_plus_isolated() {
+  const Topology::Rows rows = {{1, 2}, {0, 2}, {0, 1}, {}};
+  return shared(Topology("clique:3+isolated", rows, rows));
 }
 
 // ------------------------------------------------------- golden digests
@@ -107,7 +105,7 @@ struct BurstResult {
   std::uint64_t dropped = 0;
 };
 
-BurstResult run_burst(const Burst& b, const std::optional<Topology>& topology) {
+BurstResult run_burst(const Burst& b, const TopologyPtr& topology) {
   auto net = make_net(b.phy, b.seed, topology);
   VectorSink sink;
   net->set_trace(&sink);
@@ -148,8 +146,8 @@ constexpr std::uint64_t kPairsHiddenDigest = 0xcaa9cfcbf0aca8f0ULL;
 constexpr std::uint64_t kRing6Digest = 0x4343617aeff51729ULL;
 
 void expect_clique_digest(const Burst& b, std::uint64_t digest) {
-  EXPECT_EQ(run_burst(b, std::nullopt).digest, digest) << "no topology";
-  EXPECT_EQ(run_burst(b, Topology::clique(b.stations)).digest, digest)
+  EXPECT_EQ(run_burst(b, nullptr).digest, digest) << "no topology";
+  EXPECT_EQ(run_burst(b, shared(Topology::clique(b.stations))).digest, digest)
       << "clique topology";
 }
 
@@ -178,24 +176,24 @@ TEST(MediumGolden, RetryLimitDrops) {
   phy.cw_max = 1;
   const Burst b{phy, 8, 2, 60, {}};
   expect_clique_digest(b, kRetryLimitDigest);
-  EXPECT_GT(run_burst(b, std::nullopt).dropped, 0u);
+  EXPECT_GT(run_burst(b, nullptr).dropped, 0u);
 }
 
 TEST(MediumGolden, Grid3x3) {
   const BurstResult r = run_burst({PhyParams::dot11b_short(), 9, 9, 20, {}},
-                                  Topology::grid(3, 3));
+                                  shared(Topology::grid(3, 3)));
   EXPECT_EQ(r.digest, kGrid3x3Digest);
 }
 
 TEST(MediumGolden, PairsHidden2) {
   const BurstResult r = run_burst({PhyParams::dot11b_short(), 11, 2, 20, {}},
-                                  Topology::hidden_pairs(2));
+                                  shared(Topology::hidden_pairs(2)));
   EXPECT_EQ(r.digest, kPairsHiddenDigest);
 }
 
 TEST(MediumGolden, Ring6) {
-  const BurstResult r =
-      run_burst({PhyParams::dot11b_short(), 13, 6, 20, {}}, Topology::ring(6));
+  const BurstResult r = run_burst({PhyParams::dot11b_short(), 13, 6, 20, {}},
+                                  shared(Topology::ring(6)));
   EXPECT_EQ(r.digest, kRing6Digest);
 }
 
@@ -204,7 +202,7 @@ TEST(MediumGolden, Ring6) {
 /// The rules after an unequal-airtime collision, on both bookkeepings:
 /// two stations fire at one instant with 1500-byte frames at 11 Mb/s
 /// (short) and 2 Mb/s (long) while a third waits out the collision.
-void expect_unequal_collision_rules(const std::optional<Topology>& topology) {
+void expect_unequal_collision_rules(const TopologyPtr& topology) {
   const PhyParams phy = PhyParams::dot11b_short();
   auto net = make_net(phy, 31, topology);
   VectorSink sink;
@@ -273,8 +271,8 @@ void expect_unequal_collision_rules(const std::optional<Topology>& topology) {
 }
 
 TEST(MediumRules, UnequalAirtimeCollisionOnTheCompleteGraph) {
-  expect_unequal_collision_rules(std::nullopt);
-  expect_unequal_collision_rules(Topology::clique(3));
+  expect_unequal_collision_rules(nullptr);
+  expect_unequal_collision_rules(shared(Topology::clique(3)));
 }
 
 TEST(MediumRules, UnequalAirtimeCollisionOnASparseGraph) {
@@ -284,8 +282,7 @@ TEST(MediumRules, UnequalAirtimeCollisionOnASparseGraph) {
 // A run that stops mid-exchange has charged neither the success nor its
 // airtime; both land when the exchange ends.
 TEST(MediumRules, HorizonChargesNeitherSuccessNorBusyTime) {
-  for (const std::optional<Topology>& topology :
-       {std::optional<Topology>{}, std::optional(clique3_plus_isolated())}) {
+  for (const TopologyPtr& topology : {TopologyPtr{}, clique3_plus_isolated()}) {
     const PhyParams phy = PhyParams::dot11b_short();
     auto net = make_net(phy, 3, topology);
     DcfStation& st = net->add_station();
@@ -315,7 +312,7 @@ TEST(MediumRules, HorizonChargesNeitherSuccessNorBusyTime) {
 // behind carrier sense and neither frame would be lost.
 TEST(MediumTopology, HiddenPairCollidesWithoutCarrierSenseDeferral) {
   const PhyParams phy = PhyParams::dot11b_short();
-  WlanNetwork net(phy, 5, Topology::hidden_pairs(2));
+  WlanNetwork net(phy, 5, shared(Topology::hidden_pairs(2)));
   auto& a = net.add_station();
   auto& b = net.add_station();
   Sink sink_a(a);
@@ -346,7 +343,7 @@ TEST(MediumTopology, HiddenPairCollidesWithoutCarrierSenseDeferral) {
 // reuse the channel concurrently, with zero collisions.
 TEST(MediumTopology, GridCornersReuseTheChannelConcurrently) {
   const PhyParams phy = PhyParams::dot11b_short();
-  WlanNetwork net(phy, 9, Topology::grid(3, 3));
+  WlanNetwork net(phy, 9, shared(Topology::grid(3, 3)));
   std::vector<DcfStation*> stations;
   for (int i = 0; i < 9; ++i) {
     stations.push_back(&net.add_station());
@@ -374,7 +371,8 @@ TEST(MediumTopology, GridCornersReuseTheChannelConcurrently) {
 
 TEST(MediumTopology, HiddenPairRunsAreDeterministic) {
   const auto run_once = [] {
-    WlanNetwork net(PhyParams::dot11b_short(), 11, Topology::hidden_pairs(2));
+    WlanNetwork net(PhyParams::dot11b_short(), 11,
+                    shared(Topology::hidden_pairs(2)));
     VectorSink sink;
     net.set_trace(&sink);
     auto& a = net.add_station();
@@ -399,7 +397,8 @@ TEST(MediumTopology, HiddenPairRunsAreDeterministic) {
 // change nothing about the run.
 TEST(MediumTopology, MetricsCountHotPathWorkWithoutPerturbing) {
   const auto run_once = [](obs::Registry* reg) {
-    WlanNetwork net(PhyParams::dot11b_short(), 11, Topology::grid(3, 3));
+    WlanNetwork net(PhyParams::dot11b_short(), 11,
+                    shared(Topology::grid(3, 3)));
     net.set_metrics(reg);
     VectorSink sink;
     net.set_trace(&sink);
@@ -464,7 +463,8 @@ TEST(MediumTopology, MetricsAppearInRunReport) {
 }
 
 TEST(MediumTopology, RegistrationIsCappedAtTheNodeCount) {
-  WlanNetwork net(PhyParams::dot11b_short(), 1, Topology::hidden_pairs(2));
+  WlanNetwork net(PhyParams::dot11b_short(), 1,
+                  shared(Topology::hidden_pairs(2)));
   net.add_station();
   net.add_station();
   EXPECT_THROW(net.add_station(), util::PreconditionError);

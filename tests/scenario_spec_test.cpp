@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "topo/registry.hpp"
+#include "topo/topology.hpp"
+#include "traffic/probe_train.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::core {
@@ -250,6 +260,93 @@ TEST(Scenario, RejectsBadTrafficSpecsEagerly) {
   fifo_rate.fifo_cross = StationSpec::poisson(BitRate::mbps(1.0));
   fifo_rate.fifo_cross->data_rate_bps = 2e6;  // rides the probe station
   EXPECT_THROW(Scenario{fifo_rate}, util::PreconditionError);
+}
+
+// --------------------------------------------------- one graph per scenario
+
+/// Departure instants (ns; -1 for a drop) of a repetition's probes.
+std::vector<std::int64_t> departures(const TrainRun& run) {
+  std::vector<std::int64_t> out;
+  for (const mac::Packet& p : run.packets) {
+    out.push_back(p.dropped ? -1 : p.depart_time.count());
+  }
+  return out;
+}
+
+traffic::TrainSpec short_train() {
+  traffic::TrainSpec train;
+  train.n = 20;
+  train.size_bytes = 1500;
+  train.gap = BitRate::mbps(5.0).gap_for(1500);
+  return train;
+}
+
+// The radio geometry belongs to the scenario, not to the repetition: a
+// Scenario builds its graph once and every repetition's medium reads
+// that one graph, with the same bytes as a graph built per repetition.
+TEST(ScenarioTopology, RepetitionsShareOneGraphBuild) {
+  static std::atomic<int> builds{0};
+  topo::TopologyRegistry& registry = topo::TopologyRegistry::global();
+  if (!registry.contains("counting-ring")) {
+    registry.add("counting-ring",
+                 topo::TopologyRegistry::Generator{
+                     [](std::string_view) { return std::string(); },
+                     [](std::string_view, int stations) {
+                       ++builds;
+                       return topo::Topology::ring(stations);
+                     },
+                     "test-only: a ring sized to the cell that counts its "
+                     "builds"});
+  }
+  ScenarioConfig cfg =
+      ScenarioSpec::parse("topology=ring:4;contenders=3x poisson:rate=1M")
+          .to_config(7);
+  const Scenario by_spec(cfg);
+  cfg.topology = "counting-ring";
+  builds = 0;
+  const Scenario counted(cfg);
+  for (std::uint64_t rep = 0; rep < 5; ++rep) {
+    EXPECT_EQ(departures(counted.run_train(short_train(), rep)),
+              departures(by_spec.run_train(short_train(), rep)))
+        << "repetition " << rep;
+  }
+  EXPECT_EQ(builds.load(), 1);
+}
+
+// A `file:` graph is read when the Scenario is built; no repetition
+// opens the file again.
+TEST(ScenarioTopology, FileGraphOutlivesItsFile) {
+  const std::string path =
+      testing::TempDir() + "/scenario_spec_test_graph.topo";
+  {
+    std::ofstream f(path);
+    f << "nodes: 3\nsense: 0 1\nsense: 0 2\ninterfere: 1 2\n";
+  }
+  ScenarioConfig cfg =
+      ScenarioSpec::parse("contenders=2x poisson:rate=2M").to_config(5);
+  cfg.topology = "file:" + path;
+  const Scenario scenario(cfg);
+  const TrainRun before = scenario.run_train(short_train(), 3);
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  TrainRun after;
+  ASSERT_NO_THROW(after = scenario.run_train(short_train(), 3));
+  EXPECT_EQ(departures(after), departures(before));
+}
+
+TEST(ScenarioTopology, CellRejectsAGraphOfAnotherStationCount) {
+  const ScenarioConfig cfg =
+      ScenarioSpec::parse("topology=ring:4;contenders=3x saturated")
+          .to_config();
+  const std::vector<TrafficModelPtr> models(
+      3, traffic::TrafficModelRegistry::global().create("saturated"));
+  EXPECT_THROW((void)ScenarioCell(cfg, 0, models, nullptr,
+                                  std::make_shared<const topo::Topology>(
+                                      topo::Topology::ring(5))),
+               util::PreconditionError);
+  EXPECT_NO_THROW(
+      (void)ScenarioCell(cfg, 0, models, nullptr, build_topology(cfg)));
+  // The bare clique builds no graph.
+  EXPECT_EQ(build_topology(ScenarioConfig{}), nullptr);
 }
 
 TEST(TrainRun, AccessDelaysEnforceNoDropPrecondition) {
