@@ -38,7 +38,7 @@ const char* kDefaultFamilies =
     "BM_ScenarioCellBuild,BM_ProbeTrainRepetition,BM_CampaignEngine,"
     "BM_ResultCacheKey,BM_CacheLookupHit,"
     "BM_TraceScanMmap,BM_TraceQueryPushdown,BM_TraceAggHistogram,"
-    "BM_MetricsCounterHot,BM_ScopedSpan";
+    "BM_TransientKsCurve,BM_MetricsCounterHot,BM_ScopedSpan";
 
 /// One gated row of a google-benchmark JSON file.
 struct Row {

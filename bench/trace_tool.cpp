@@ -23,13 +23,13 @@
 //                the run-report JSON / Perfetto trace.
 //   filter       copy a trace keeping only selected events (note that a
 //                kind-filtered trace may no longer replay-reconstruct):
-//                  trace_tool filter --in=A --out=B [--station=N]
-//                    [--flow=F] [--kinds=enqueue,success,...]
-//                    [--where=...]
+//                  trace_tool filter --in=A --out=B [--flow=F]
+//                    [--where=kinds=enqueue,success;station=0..0]
 //
 // Every error (bad flags, a missing directory, a corrupt trace or one
 // of an older format version) prints one `trace_tool: error: ...` line
 // to stderr and exits 2.
+#include <algorithm>
 #include <array>
 #include <iostream>
 #include <map>
@@ -60,12 +60,14 @@ int usage(std::ostream& out, int code) {
          "               [--jsonl=PATH] [--no-pushdown]\n"
          "               [--pages-per-unit=N] [--stats]\n"
          "               [--metrics-out=FILE] [--prof=FILE]\n"
-         "  filter       --in=FILE --out=FILE [--station=N] [--flow=F]\n"
-         "               [--kinds=enqueue,success,...] [--where=CLAUSES]\n"
+         "  filter       --in=FILE --out=FILE [--flow=F] [--where=CLAUSES]\n"
          "               [--no-pushdown]\n"
          "aggregations (--agg):\n";
-  for (const std::string& line : trace::query::aggregation_catalog()) {
-    out << "  " << line << "\n";
+  const auto& aggs = trace::query::aggregation_registry();
+  for (const std::string& name : aggs.names()) {
+    std::string line = "  " + name;
+    line.resize(std::max<std::size_t>(line.size() + 1, 14), ' ');
+    out << line << aggs.help(name) << "\n";
   }
   out << "--where grammar: `;`-separated kinds=a,b  station=A..B\n"
          "  time_ms=A..B  time_ns=A..B (range ends omittable)\n"
@@ -239,33 +241,15 @@ int cmd_query(const util::Args& args) {
 // ---------------------------------------------------------------- filter
 
 int cmd_filter(const util::Args& args) {
-  args.require_known({"in", "out", "station", "flow", "kinds", "where",
-                      "no-pushdown"});
+  args.require_known({"in", "out", "flow", "where", "no-pushdown"});
   const std::string in_path = required(args, "in");
   const std::string out_path = required(args, "out");
 
-  // The selection is one QueryPredicate (--where, narrowed further by
-  // the legacy --station/--kinds flags) so the copy rides the same
-  // skip-index pushdown as `query`; --flow stays a post-filter (flows
-  // are not summarized per page).
-  trace::query::QueryPredicate pred =
+  // The selection is one QueryPredicate (--where) so the copy rides the
+  // same skip-index pushdown as `query`; --flow stays a post-filter
+  // (flows are not summarized per page).
+  const trace::query::QueryPredicate pred =
       trace::query::QueryPredicate::parse(args.get("where", ""));
-  if (args.has("station")) {
-    const int station = args.get("station", 0);
-    CSMABW_REQUIRE(station >= 0 && station <= 0xffff,
-                   "trace_tool: --station out of range 0..65535");
-    pred.station_min = pred.station_max =
-        static_cast<std::uint16_t>(station);
-  }
-  if (args.has("kinds")) {
-    std::uint16_t mask = 0;
-    for (const std::string& name : args.get_strings("kinds", {})) {
-      mask = static_cast<std::uint16_t>(
-          mask |
-          (1u << trace::kind_index(trace::parse_kind(name))));
-    }
-    pred.kinds &= mask;
-  }
   const bool by_flow = args.has("flow");
   const int flow = args.get("flow", 0);
 

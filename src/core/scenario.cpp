@@ -391,6 +391,40 @@ TrafficModelPtr parse_fifo_model(const ScenarioConfig& cfg) {
       cfg.fifo_cross->traffic);
 }
 
+/// Feeds the finished packets of `flow` on `station` to `meter`.
+void meter_flow(mac::DcfStation& station, int flow,
+                traffic::FlowMeter& meter) {
+  station.on_flow(flow,
+                  [&meter](const mac::Packet& p) { meter.on_packet(p); });
+}
+
+/// One meter per contender over [from, to), fed by its station's flow
+/// (contender i carries flow i).  The vector is sized before the
+/// handlers point into it and never grows.
+std::vector<traffic::FlowMeter> meter_contenders(ScenarioCell& cell,
+                                                 TimeNs from, TimeNs to) {
+  std::vector<traffic::FlowMeter> meters(
+      static_cast<std::size_t>(cell.contender_count()),
+      traffic::FlowMeter(from, to));
+  for (int i = 0; i < cell.contender_count(); ++i) {
+    meter_flow(cell.contender_station(i), i,
+               meters[static_cast<std::size_t>(i)]);
+  }
+  return meters;
+}
+
+/// Appends each contender meter's rate to `per_contender`; returns the
+/// sum.
+BitRate contender_rates(const std::vector<traffic::FlowMeter>& meters,
+                        std::vector<BitRate>* per_contender) {
+  double total = 0.0;
+  for (const traffic::FlowMeter& m : meters) {
+    per_contender->push_back(m.rate());
+    total += m.rate().to_bps();
+  }
+  return BitRate::bps(total);
+}
+
 }  // namespace
 
 topo::TopologyPtr build_topology(const ScenarioConfig& cfg) {
@@ -428,24 +462,22 @@ ScenarioCell::ScenarioCell(
                          1 + static_cast<int>(cfg.contenders.size()),
                  "prebuilt topology does not match the station count");
   mac::DcfStation& probe = net_.add_station();
-  dispatchers_.push_back(std::make_unique<traffic::FlowDispatcher>(probe));
   for (std::size_t i = 0; i < cfg.contenders.size(); ++i) {
     const StationSpec& spec = cfg.contenders[i];
     mac::DcfStation& st = net_.add_station();
     if (spec.data_rate_bps.has_value()) {
       st.set_data_rate_bps(*spec.data_rate_bps);
     }
-    dispatchers_.push_back(std::make_unique<traffic::FlowDispatcher>(st));
     auto src = contender_models[i]->instantiate(
-        {net_.simulator(), st, *dispatchers_.back(), static_cast<int>(i),
-         spec.size_bytes, net_.rng("cross-" + std::to_string(i))});
+        {net_.simulator(), st, static_cast<int>(i), spec.size_bytes,
+         net_.rng("cross-" + std::to_string(i))});
     src->start(TimeNs::zero());
     sources_.push_back(std::move(src));
   }
   if (cfg.fifo_cross.has_value()) {
     auto src = fifo_model->instantiate(
-        {net_.simulator(), probe, *dispatchers_.front(), kFifoCrossFlow,
-         cfg.fifo_cross->size_bytes, net_.rng("fifo-cross")});
+        {net_.simulator(), probe, kFifoCrossFlow, cfg.fifo_cross->size_bytes,
+         net_.rng("fifo-cross")});
     src->start(TimeNs::zero());
     sources_.push_back(std::move(src));
   }
@@ -513,7 +545,7 @@ TrainRun Scenario::run_train(const traffic::TrainSpec& spec,
                         cfg_.probe_phase_mean.to_seconds()));
 
   traffic::ProbeTrain train(sim, cell.probe_station(), spec, kProbeFlow);
-  cell.dispatcher(0).on_flow(kProbeFlow, [&train](const mac::Packet& p) {
+  cell.probe_station().on_flow(kProbeFlow, [&train](const mac::Packet& p) {
     train.on_packet_done(p);
   });
 
@@ -565,25 +597,10 @@ SteadyStateResult Scenario::run_steady_state(BitRate probe_rate,
 
   traffic::FlowMeter probe_meter(measure_from, duration);
   traffic::FlowMeter fifo_meter(measure_from, duration);
-  // on_any with a flow filter, NOT on_flow: on_flow would replace the
-  // handler a reactive fifo source (saturated) registered for its flow
-  // in the cell builder, silently starving the flow.
-  cell.dispatcher(0).on_any([&probe_meter, &fifo_meter](const mac::Packet& p) {
-    if (p.flow == kProbeFlow) {
-      probe_meter.on_packet(p);
-    } else if (p.flow == kFifoCrossFlow) {
-      fifo_meter.on_packet(p);
-    }
-  });
-
-  std::vector<std::unique_ptr<traffic::FlowMeter>> contender_meters;
-  for (std::size_t i = 0; i < cfg_.contenders.size(); ++i) {
-    contender_meters.push_back(
-        std::make_unique<traffic::FlowMeter>(measure_from, duration));
-    traffic::FlowMeter* meter = contender_meters.back().get();
-    cell.dispatcher(static_cast<int>(i) + 1)
-        .on_any([meter](const mac::Packet& p) { meter->on_packet(p); });
-  }
+  meter_flow(cell.probe_station(), kProbeFlow, probe_meter);
+  meter_flow(cell.probe_station(), kFifoCrossFlow, fifo_meter);
+  std::vector<traffic::FlowMeter> contender_meters =
+      meter_contenders(cell, measure_from, duration);
 
   sim.run_until(duration);
 
@@ -591,12 +608,7 @@ SteadyStateResult Scenario::run_steady_state(BitRate probe_rate,
   r.probe = probe_meter.rate();
   r.fifo_cross = cfg_.fifo_cross.has_value() ? fifo_meter.rate()
                                              : BitRate::bps(0.0);
-  double total = 0.0;
-  for (auto& m : contender_meters) {
-    r.per_contender.push_back(m->rate());
-    total += m->rate().to_bps();
-  }
-  r.contenders_total = BitRate::bps(total);
+  r.contenders_total = contender_rates(contender_meters, &r.per_contender);
   return r;
 }
 
@@ -610,25 +622,13 @@ ContentionResult Scenario::run_contention(TimeNs duration,
   ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_,
                     topology_);
   cell.set_trace(trace);
-
-  std::vector<std::unique_ptr<traffic::FlowMeter>> meters;
-  for (std::size_t i = 0; i < cfg_.contenders.size(); ++i) {
-    meters.push_back(
-        std::make_unique<traffic::FlowMeter>(measure_from, duration));
-    traffic::FlowMeter* meter = meters.back().get();
-    cell.dispatcher(static_cast<int>(i) + 1)
-        .on_any([meter](const mac::Packet& p) { meter->on_packet(p); });
-  }
+  std::vector<traffic::FlowMeter> meters =
+      meter_contenders(cell, measure_from, duration);
 
   cell.simulator().run_until(duration);
 
   ContentionResult r;
-  double total = 0.0;
-  for (auto& m : meters) {
-    r.per_contender.push_back(m->rate());
-    total += m->rate().to_bps();
-  }
-  r.aggregate = BitRate::bps(total);
+  r.aggregate = contender_rates(meters, &r.per_contender);
   r.medium = cell.net().medium().stats();
   return r;
 }
@@ -642,14 +642,19 @@ TrainSequenceResult Scenario::run_train_sequence(
   auto& sim = cell.simulator();
   stats::Rng spacing_rng = cell.net().rng("train-spacing");
 
+  // One handler for the whole run, forwarding to the train in flight
+  // (a train's packets all finish before the next train starts).
+  traffic::ProbeTrain* current = nullptr;
+  cell.probe_station().on_flow(kProbeFlow, [&current](const mac::Packet& p) {
+    current->on_packet_done(p);
+  });
+
   TrainSequenceResult result;
   TimeNs start = cfg_.warmup + TimeNs::from_seconds(spacing_rng.exponential(
                                    cfg_.probe_phase_mean.to_seconds()));
   for (int t = 0; t < trains; ++t) {
     traffic::ProbeTrain train(sim, cell.probe_station(), spec, kProbeFlow);
-    cell.dispatcher(0).on_flow(kProbeFlow, [&train](const mac::Packet& p) {
-      train.on_packet_done(p);
-    });
+    current = &train;
     train.start(start);
     const bool finished =
         sim.run_while_pending([&train] { return train.complete(); });

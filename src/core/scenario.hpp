@@ -173,16 +173,18 @@ inline constexpr int kProbeFlow = 1000;
 inline constexpr int kFifoCrossFlow = 1001;
 /// Contender station i carries flow i (0-based).
 
-/// One fully wired WLAN cell built from a ScenarioConfig — the single
-/// place in the repository that assembles a mac::WlanNetwork with
-/// stations, per-station flow dispatchers and traffic sources.  Station
-/// 0 is the probing station; stations 1..k carry the contending flows
-/// 0..k-1.  Every bench and example constructs its network through this
-/// builder (directly or via Scenario); direct WlanNetwork wiring stays
-/// confined to core/scenario and the mac tests.
 /// Immutable, shareable handle to a parsed traffic model.
 using TrafficModelPtr = std::shared_ptr<const traffic::TrafficModel>;
 
+/// One fully wired WLAN cell built from a ScenarioConfig — the single
+/// place in the repository that assembles a mac::WlanNetwork with
+/// stations and traffic sources.  Station 0 is the probing station;
+/// stations 1..k carry the contending flows 0..k-1.  Every bench and
+/// example constructs its network through this builder (directly or via
+/// Scenario); direct WlanNetwork wiring stays confined to core/scenario
+/// and the mac tests.  Whoever observes a flow registers on its station
+/// (DcfStation::on_flow); handlers add up, so a probe train or meter
+/// never displaces a source's own handler.
 class ScenarioCell {
  public:
   /// Builds and starts the cell; repetition r of seed s reproduces the
@@ -211,12 +213,6 @@ class ScenarioCell {
   [[nodiscard]] mac::DcfStation& contender_station(int i) {
     return net_.station(i + 1);
   }
-  /// The station's shared flow dispatcher (probe = station 0).  All
-  /// delivery routing goes through these — a station has one delivery
-  /// callback, owned by its dispatcher.
-  [[nodiscard]] traffic::FlowDispatcher& dispatcher(int station_index) {
-    return *dispatchers_.at(static_cast<std::size_t>(station_index));
-  }
   [[nodiscard]] int contender_count() const {
     return net_.num_stations() - 1;
   }
@@ -234,7 +230,6 @@ class ScenarioCell {
 
  private:
   mac::WlanNetwork net_;
-  std::vector<std::unique_ptr<traffic::FlowDispatcher>> dispatchers_;
   std::vector<std::unique_ptr<traffic::Source>> sources_;
 };
 

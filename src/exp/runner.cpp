@@ -39,17 +39,6 @@ void Runner::for_each(int jobs, std::function<void(int)> fn) const {
     return;
   }
 
-  const int workers = std::min(threads_, jobs);
-  if (workers <= 1) {
-    for (int i = 0; i < jobs; ++i) {
-      fn(i);
-      if (progress_ != nullptr) {
-        progress_->tick();
-      }
-    }
-    return;
-  }
-
   std::atomic<int> next{0};
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -77,6 +66,7 @@ void Runner::for_each(int jobs, std::function<void(int)> fn) const {
     }
   };
 
+  const int workers = std::min(threads_, jobs);
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {

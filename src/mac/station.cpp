@@ -18,12 +18,9 @@ DcfStation::DcfStation(sim::Simulator& sim, Medium& medium, int id,
   medium_slot_ = medium_.register_station(this);
 }
 
-void DcfStation::set_delivery_callback(DeliveryCallback cb) {
-  delivery_cb_ = std::move(cb);
-}
-
-void DcfStation::set_drop_callback(DropCallback cb) {
-  drop_cb_ = std::move(cb);
+void DcfStation::on_flow(int flow, Handler handler) {
+  CSMABW_REQUIRE(handler != nullptr, "null handler");
+  handlers_.emplace_back(flow, std::move(handler));
 }
 
 void DcfStation::emit(trace::EventKind kind, const Packet* p,
@@ -143,55 +140,9 @@ void DcfStation::medium_seized(TimeNs busy_start, TimeNs idle_start) {
   }
 }
 
-void DcfStation::tx_succeeded(TimeNs data_end, TimeNs ack_end) {
-  CSMABW_REQUIRE(state_ == State::kTransmitting, "success while not transmitting");
-  Packet pkt = queue_.front();
-  queue_.pop_front();
-  pkt.depart_time = data_end;
-  pkt.retries = retries_;
-  ++stats_.delivered;
-  stats_.delivered_payload_bits += static_cast<std::int64_t>(pkt.size_bytes) * 8;
-  emit(trace::EventKind::kSuccess, &pkt, pkt.retries, data_end);
-  emit(trace::EventKind::kQueueDepth, nullptr,
-       static_cast<std::int32_t>(queue_.size()), ack_end);
-
-  cw_ = phy_.cw_min;
-  retries_ = 0;
-  if (!queue_.empty()) {
-    // The successor reaches the head when the data frame ends — unless
-    // it arrived later, during the SIFS + ACK exchange.
-    queue_.front().head_time =
-        std::max(data_end, queue_.front().enqueue_time);
-  }
-  if (!queue_.empty() || phy_.post_backoff) {
-    // Backoff for the next frame, or standard post-backoff with an empty
-    // queue.  Never immediate: a station that just transmitted must back
-    // off.
-    state_ = State::kContending;
-    contend_from_ = ack_end;
-    defer_ = phy_.difs();
-    backoff_slots_ = rng_.uniform_int(0, cw_);
-    awaiting_immediate_ = false;
-    emit(trace::EventKind::kBackoffStart, nullptr, backoff_slots_,
-         contend_from_);
-  } else {
-    state_ = State::kIdle;
-  }
-  if (delivery_cb_) {
-    delivery_cb_(pkt);
-  }
-}
-
-void DcfStation::tx_collided(TimeNs retry_from) {
-  CSMABW_REQUIRE(state_ == State::kTransmitting, "collision while not transmitting");
+void DcfStation::start_backoff(TimeNs from) {
   state_ = State::kContending;
-  ++retries_;
-  if (retries_ > phy_.retry_limit) {
-    drop_head(retry_from);
-    return;
-  }
-  cw_ = std::min(2 * (cw_ + 1) - 1, phy_.cw_max);
-  contend_from_ = retry_from;
+  contend_from_ = from;
   defer_ = phy_.difs();
   backoff_slots_ = rng_.uniform_int(0, cw_);
   awaiting_immediate_ = false;
@@ -199,36 +150,61 @@ void DcfStation::tx_collided(TimeNs retry_from) {
        contend_from_);
 }
 
-void DcfStation::drop_head(TimeNs when) {
+void DcfStation::tx_succeeded(TimeNs data_end, TimeNs ack_end) {
+  CSMABW_REQUIRE(state_ == State::kTransmitting, "success while not transmitting");
+  finish_head(/*dropped=*/false, data_end, ack_end, ack_end);
+}
+
+void DcfStation::tx_collided(TimeNs retry_from) {
+  CSMABW_REQUIRE(state_ == State::kTransmitting, "collision while not transmitting");
+  state_ = State::kContending;
+  ++retries_;
+  if (retries_ > phy_.retry_limit) {
+    finish_head(/*dropped=*/true, retry_from, sim_.now(), retry_from);
+    return;
+  }
+  cw_ = std::min(2 * (cw_ + 1) - 1, phy_.cw_max);
+  start_backoff(retry_from);
+}
+
+void DcfStation::finish_head(bool dropped, TimeNs depart, TimeNs depth_at,
+                             TimeNs rejoin) {
   Packet pkt = queue_.front();
   queue_.pop_front();
-  pkt.dropped = true;
-  pkt.depart_time = when;
+  pkt.dropped = dropped;
+  pkt.depart_time = depart;
   pkt.retries = retries_;
-  ++stats_.dropped;
-  emit(trace::EventKind::kDrop, &pkt, pkt.retries, when);
+  if (dropped) {
+    ++stats_.dropped;
+  } else {
+    ++stats_.delivered;
+    stats_.delivered_payload_bits +=
+        static_cast<std::int64_t>(pkt.size_bytes) * 8;
+  }
+  emit(dropped ? trace::EventKind::kDrop : trace::EventKind::kSuccess, &pkt,
+       pkt.retries, depart);
   emit(trace::EventKind::kQueueDepth, nullptr,
-       static_cast<std::int32_t>(queue_.size()), sim_.now());
+       static_cast<std::int32_t>(queue_.size()), depth_at);
 
   cw_ = phy_.cw_min;
   retries_ = 0;
   if (!queue_.empty()) {
-    queue_.front().head_time =
-        std::max(when, queue_.front().enqueue_time);
+    // The successor reaches the head at the departure — unless it
+    // arrived later, during the SIFS + ACK exchange or the ACK timeout.
+    queue_.front().head_time = std::max(depart, queue_.front().enqueue_time);
   }
   if (!queue_.empty() || phy_.post_backoff) {
-    state_ = State::kContending;
-    contend_from_ = when;
-    defer_ = phy_.difs();
-    backoff_slots_ = rng_.uniform_int(0, cw_);
-    awaiting_immediate_ = false;
-    emit(trace::EventKind::kBackoffStart, nullptr, backoff_slots_,
-         contend_from_);
+    // Backoff for the next frame, or standard post-backoff with an empty
+    // queue.  Never immediate: a station that just transmitted must back
+    // off.
+    start_backoff(rejoin);
   } else {
     state_ = State::kIdle;
   }
-  if (drop_cb_) {
-    drop_cb_(pkt);
+  for (const auto& [flow, handler] : handlers_) {
+    if (flow == pkt.flow) {
+      handler(pkt);
+    }
   }
 }
 

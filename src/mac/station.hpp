@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "mac/medium.hpp"
 #include "mac/packet.hpp"
@@ -31,13 +33,16 @@ struct StationStats {
 /// is timestamped at enqueue, head-of-queue and departure so the access
 /// delay process {mu_i} and the queueing process {Z_i} can be observed
 /// directly.
+///
+/// A packet finishes when it is delivered (at the end of its ACK
+/// exchange) or dropped (at the retry limit).  Either way it leaves the
+/// queue through one routine, which hands it, timestamps final, to the
+/// handlers registered for its flow (on_flow), in registration order;
+/// Packet::dropped tells the two outcomes apart.
 class DcfStation {
  public:
-  /// Called on successful delivery, after the packet's timestamps are
-  /// final.  Invoked at the end of the ACK exchange.
-  using DeliveryCallback = std::function<void(const Packet&)>;
-  /// Called when a packet exhausts its retry limit.
-  using DropCallback = std::function<void(const Packet&)>;
+  /// Receives a finished packet of the flow it was registered for.
+  using Handler = std::function<void(const Packet&)>;
 
   DcfStation(sim::Simulator& sim, Medium& medium, int id, stats::Rng rng);
 
@@ -49,15 +54,15 @@ class DcfStation {
   /// assigned here.
   void enqueue(Packet p);
 
-  void set_delivery_callback(DeliveryCallback cb);
-  void set_drop_callback(DropCallback cb);
+  /// Adds `handler` for the finished packets of `flow`; it runs after
+  /// the handlers registered for `flow` before it.  Never replaces one.
+  /// Register before the run, not from inside a handler.
+  void on_flow(int flow, Handler handler);
 
   [[nodiscard]] int id() const { return id_; }
   /// Packets in the queue, including the one in service.
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
   [[nodiscard]] const StationStats& stats() const { return stats_; }
-  /// Current contention window (diagnostics).
-  [[nodiscard]] int contention_window() const { return cw_; }
 
   /// Overrides this station's PHY data rate (e.g. a far station that
   /// fell back to 2 Mb/s).  Control frames stay at the basic rate.  The
@@ -106,7 +111,15 @@ class DcfStation {
   enum class State { kIdle, kContending, kTransmitting };
 
   void join_contention(TimeNs from, bool allow_immediate);
-  void drop_head(TimeNs when);
+  /// Draws a random backoff from the current window and contends from
+  /// `from` after DIFS.
+  void start_backoff(TimeNs from);
+  /// Pops the head packet, which departed at `depart` (delivered, or
+  /// dropped at the retry limit), stamps the queue depth at `depth_at`,
+  /// rejoins contention from `rejoin` (or goes idle) and hands the
+  /// packet to its flow's handlers.
+  void finish_head(bool dropped, TimeNs depart, TimeNs depth_at,
+                   TimeNs rejoin);
   /// Emits `kind` to the simulator's event tap (Simulator::trace());
   /// no-op (one branch) when none is installed.  Tracing is purely
   /// observational: it never consumes randomness or perturbs timing,
@@ -137,8 +150,7 @@ class DcfStation {
 
   std::uint64_t next_packet_id_ = 1;
   StationStats stats_;
-  DeliveryCallback delivery_cb_;
-  DropCallback drop_cb_;
+  std::vector<std::pair<int, Handler>> handlers_;  ///< (flow, handler)
 };
 
 }  // namespace csmabw::mac

@@ -15,6 +15,7 @@
 #include "stats/histogram.hpp"
 #include "trace/replay.hpp"
 #include "util/options.hpp"
+#include "util/registry.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::trace::query {
@@ -22,14 +23,6 @@ namespace csmabw::trace::query {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-[[noreturn]] void reject_where(std::string_view agg,
-                               const QueryPredicate& pred) {
-  throw util::PreconditionError(
-      "aggregation `" + std::string(agg) +
-      "` reconstructs packet lifecycles and needs the complete event "
-      "stream; it cannot run under --where=" + pred.describe());
-}
 
 util::Value station_value(std::uint16_t station) {
   if (station == kChannelStation) {
@@ -129,12 +122,6 @@ class DelayAgg final : public Aggregation {
 
   [[nodiscard]] std::string_view name() const override { return "delay"; }
   [[nodiscard]] bool whole_file() const override { return true; }
-
-  void validate(const QueryPredicate& pred) const override {
-    if (!pred.match_all()) {
-      reject_where(name(), pred);
-    }
-  }
 
   [[nodiscard]] std::unique_ptr<AggPartial> make_partial(
       const FileContext&) const override {
@@ -250,12 +237,6 @@ class DelayHistAgg final : public Aggregation {
     return "delay-hist";
   }
   [[nodiscard]] bool whole_file() const override { return true; }
-
-  void validate(const QueryPredicate& pred) const override {
-    if (!pred.match_all()) {
-      reject_where(name(), pred);
-    }
-  }
 
   [[nodiscard]] std::unique_ptr<AggPartial> make_partial(
       const FileContext&) const override {
@@ -377,12 +358,6 @@ class AirtimeAgg final : public Aggregation {
   [[nodiscard]] std::string_view name() const override { return "airtime"; }
   [[nodiscard]] bool whole_file() const override { return true; }
 
-  void validate(const QueryPredicate& pred) const override {
-    if (!pred.match_all()) {
-      reject_where(name(), pred);
-    }
-  }
-
   [[nodiscard]] std::unique_ptr<AggPartial> make_partial(
       const FileContext&) const override {
     return std::make_unique<Partial>();
@@ -484,12 +459,6 @@ class CollisionsAgg final : public Aggregation {
   }
   [[nodiscard]] bool whole_file() const override { return true; }
 
-  void validate(const QueryPredicate& pred) const override {
-    if (!pred.match_all()) {
-      reject_where(name(), pred);
-    }
-  }
-
   [[nodiscard]] std::unique_ptr<AggPartial> make_partial(
       const FileContext&) const override {
     return std::make_unique<Partial>();
@@ -573,12 +542,6 @@ class QdepthAgg final : public Aggregation {
   [[nodiscard]] std::string_view name() const override { return "qdepth"; }
   [[nodiscard]] bool whole_file() const override { return true; }
 
-  void validate(const QueryPredicate& pred) const override {
-    if (!pred.match_all()) {
-      reject_where(name(), pred);
-    }
-  }
-
   [[nodiscard]] std::unique_ptr<AggPartial> make_partial(
       const FileContext&) const override {
     return std::make_unique<Partial>(bucket_ns_);
@@ -628,53 +591,46 @@ class QdepthAgg final : public Aggregation {
 
 }  // namespace
 
-std::unique_ptr<Aggregation> make_aggregation(std::string_view spec) {
-  const std::size_t colon = spec.find(':');
-  const std::string_view name =
-      colon == std::string_view::npos ? spec : spec.substr(0, colon);
-  const util::Options opts = util::Options::parse(
-      colon == std::string_view::npos ? std::string_view{}
-                                      : spec.substr(colon + 1));
-
-  std::unique_ptr<Aggregation> agg;
-  if (name == "counts") {
-    agg = std::make_unique<CountsAgg>();
-  } else if (name == "delay") {
-    agg = std::make_unique<DelayAgg>(opts);
-  } else if (name == "delay-hist") {
-    agg = std::make_unique<DelayHistAgg>(opts);
-  } else if (name == "airtime") {
-    agg = std::make_unique<AirtimeAgg>();
-  } else if (name == "collisions") {
-    agg = std::make_unique<CollisionsAgg>();
-  } else if (name == "qdepth") {
-    agg = std::make_unique<QdepthAgg>(opts);
-  } else {
-    std::string known;
-    for (const std::string& line : aggregation_catalog()) {
-      known += "\n  " + line;
-    }
-    throw util::PreconditionError("unknown aggregation `" +
-                                  std::string(name) + "`; available:" +
-                                  known);
-  }
-  opts.require_consumed("aggregation `" + std::string(name) + "`");
-  return agg;
+const util::SpecRegistry<Aggregation>& aggregation_registry() {
+  static const util::SpecRegistry<Aggregation>* registry = [] {
+    auto* r = new util::SpecRegistry<Aggregation>("aggregation");
+    r->add(
+        "counts",
+        [](const util::Options&) { return std::make_unique<CountsAgg>(); },
+        "per-station, per-kind event counts (works with --where)");
+    r->add(
+        "delay",
+        [](const util::Options& o) { return std::make_unique<DelayAgg>(o); },
+        "per-cell transient stats, byte-identical to the live campaign "
+        "(flow, ks_prefix, steady_tail, tol)");
+    r->add(
+        "delay-hist",
+        [](const util::Options& o) {
+          return std::make_unique<DelayHistAgg>(o);
+        },
+        "access-delay histograms (by=position|station, flow, lo_ms, "
+        "hi_ms, bins)");
+    r->add(
+        "airtime",
+        [](const util::Options&) { return std::make_unique<AirtimeAgg>(); },
+        "per-station channel-occupation time and share");
+    r->add(
+        "collisions",
+        [](const util::Options&) {
+          return std::make_unique<CollisionsAgg>();
+        },
+        "pairwise collision-involvement matrix");
+    r->add(
+        "qdepth",
+        [](const util::Options& o) { return std::make_unique<QdepthAgg>(o); },
+        "per-station time-weighted queue-depth timeline (bucket_ms)");
+    return r;
+  }();
+  return *registry;
 }
 
-std::vector<std::string> aggregation_catalog() {
-  return {
-      "counts      per-station, per-kind event counts (works with "
-      "--where)",
-      "delay       per-cell transient stats, byte-identical to the "
-      "live campaign (flow, ks_prefix, steady_tail, tol)",
-      "delay-hist  access-delay histograms (by=position|station, flow, "
-      "lo_ms, hi_ms, bins)",
-      "airtime     per-station channel-occupation time and share",
-      "collisions  pairwise collision-involvement matrix",
-      "qdepth      per-station time-weighted queue-depth timeline "
-      "(bucket_ms)",
-  };
+std::unique_ptr<Aggregation> make_aggregation(std::string_view spec) {
+  return aggregation_registry().create(spec);
 }
 
 }  // namespace csmabw::trace::query

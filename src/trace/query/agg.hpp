@@ -17,7 +17,8 @@
 // declare whole_file(); the engine then never splits a file across
 // units.  They also require the match-all predicate — a kind- or
 // time-filtered stream has holes the reconstruction would silently
-// mis-read, so validate() rejects `--where` for them up front.
+// mis-read, so run_query rejects `--where` for every whole_file()
+// aggregation up front.
 
 #include <cstdint>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "trace/query/predicate.hpp"
 #include "trace/writer.hpp"  // TraceMeta
 #include "util/json.hpp"
+#include "util/registry.hpp"
 
 namespace csmabw::trace::query {
 
@@ -63,12 +65,9 @@ class Aggregation {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// True when the aggregation must see whole files in event order.
+  /// True when the aggregation must see whole files, every event in
+  /// file order (so it runs only under the match-all predicate).
   [[nodiscard]] virtual bool whole_file() const { return false; }
-
-  /// Rejects predicates the aggregation cannot run under (throws
-  /// util::PreconditionError).  Default accepts everything.
-  virtual void validate(const QueryPredicate& pred) const { (void)pred; }
 
   /// Fresh worker-side state for one unit of `ctx`'s file.
   [[nodiscard]] virtual std::unique_ptr<AggPartial> make_partial(
@@ -86,26 +85,23 @@ class Aggregation {
       const = 0;
 };
 
-/// Builds an aggregation from its `name[:key=value,...]` spec; throws
-/// util::PreconditionError on unknown names or unconsumed options.
-///
-/// Built-ins:
+/// The built-in aggregations by name, each with a one-line help that
+/// lists its options (`trace_tool --help` prints them):
 ///   counts      per-station, per-kind event counts (composes with
 ///               --where)
 ///   delay       per-cell transient statistics, bit-identical to the
-///               live campaign's (options: flow, ks_prefix, steady_tail,
-///               tol)
+///               live campaign's
 ///   delay-hist  access-delay histograms grouped by train position or
-///               station (options: by=position|station, flow, lo_ms,
-///               hi_ms, bins)
+///               station
 ///   airtime     per-station channel-occupation time and share
 ///   collisions  pairwise collision-involvement matrix
 ///   qdepth      per-station time-weighted queue-depth timeline
-///               (option: bucket_ms)
+[[nodiscard]] const util::SpecRegistry<Aggregation>& aggregation_registry();
+
+/// aggregation_registry().create(spec): builds an aggregation from its
+/// `name[:key=value,...]` spec; throws util::PreconditionError on
+/// unknown names or unconsumed options.
 [[nodiscard]] std::unique_ptr<Aggregation> make_aggregation(
     std::string_view spec);
-
-/// One help line per built-in aggregation (for --help / error text).
-[[nodiscard]] std::vector<std::string> aggregation_catalog();
 
 }  // namespace csmabw::trace::query

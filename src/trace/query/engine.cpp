@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
+
+#include "util/require.hpp"
 
 namespace csmabw::trace::query {
 
@@ -33,7 +36,12 @@ struct UnitResult {
 ScanStats run_query(const std::vector<TraceFile>& files,
                     const QueryPredicate& pred, Aggregation& agg,
                     const exp::Runner& runner, const QueryOptions& opts) {
-  agg.validate(pred);
+  if (agg.whole_file() && !pred.match_all()) {
+    throw util::PreconditionError(
+        "aggregation `" + std::string(agg.name()) +
+        "` reconstructs packet lifecycles and needs the complete event "
+        "stream; it cannot run under --where=" + pred.describe());
+  }
 
   obs::Counter pages_decoded;
   obs::Counter pages_skipped;

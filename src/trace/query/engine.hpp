@@ -96,8 +96,9 @@ void scan_pages(const MappedTrace& trace, std::size_t first_page,
 /// Runs `agg` over every event of `files` matching `pred`, using the
 /// runner's worker pool, and returns what the scan touched.  Files must
 /// be in the order the aggregation expects (list_traces order — cell,
-/// then repetition).  Throws util::PreconditionError when the
-/// aggregation rejects the predicate or a trace is corrupt.
+/// then repetition).  Throws util::PreconditionError when a
+/// whole_file() aggregation gets a predicate other than match-all, or
+/// a trace is corrupt.
 ScanStats run_query(const std::vector<TraceFile>& files,
                     const QueryPredicate& pred, Aggregation& agg,
                     const exp::Runner& runner,

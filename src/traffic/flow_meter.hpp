@@ -17,8 +17,8 @@ class FlowMeter {
  public:
   FlowMeter(TimeNs from, TimeNs to);
 
-  /// Feed every delivered packet of the flow (connect via
-  /// FlowDispatcher::on_flow).
+  /// Feed every finished packet of the flow (register on the station
+  /// via DcfStation::on_flow); dropped packets are not counted.
   void on_packet(const mac::Packet& p);
 
   [[nodiscard]] std::uint64_t packets() const { return packets_; }

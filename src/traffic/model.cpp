@@ -160,8 +160,8 @@ class SaturatedModel : public TrafficModel {
   [[nodiscard]] std::unique_ptr<Source> instantiate(
       SourceWiring w) const override {
     return std::make_unique<SaturatedSource>(
-        w.sim, w.station, w.dispatch, w.flow,
-        packet_size(w.default_size_bytes), backlog_);
+        w.sim, w.station, w.flow, packet_size(w.default_size_bytes),
+        backlog_);
   }
 
  private:

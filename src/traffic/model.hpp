@@ -9,7 +9,6 @@
 #include "mac/station.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
-#include "traffic/probe_train.hpp"
 #include "traffic/source.hpp"
 #include "util/options.hpp"
 #include "util/registry.hpp"
@@ -18,14 +17,13 @@
 namespace csmabw::traffic {
 
 /// Everything a TrafficModel needs to put its Source on one station: the
-/// simulator, the target station, the station's shared flow dispatcher
-/// (sources that react to completions, e.g. `saturated`, subscribe
-/// through it), the flow id, the packet size used when the model's spec
-/// has no `size=` override, and a dedicated random stream.
+/// simulator, the target station (sources that react to completions,
+/// e.g. `saturated`, register on it for their flow), the flow id, the
+/// packet size used when the model's spec has no `size=` override, and
+/// a dedicated random stream.
 struct SourceWiring {
   sim::Simulator& sim;
   mac::DcfStation& station;
-  FlowDispatcher& dispatch;
   int flow = 0;
   int default_size_bytes = 1500;
   stats::Rng rng;

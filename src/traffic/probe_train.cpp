@@ -16,8 +16,7 @@ ProbeTrain::ProbeTrain(sim::Simulator& sim, mac::DcfStation& station,
   records_.resize(static_cast<std::size_t>(spec.n));
 }
 
-void ProbeTrain::start(TimeNs first_arrival, CompletionCallback on_complete) {
-  on_complete_ = std::move(on_complete);
+void ProbeTrain::start(TimeNs first_arrival) {
   for (int k = 0; k < spec_.n; ++k) {
     const TimeNs at = first_arrival + spec_.gap * k;
     sim_.schedule_at(at, [this, k] {
@@ -38,9 +37,6 @@ void ProbeTrain::on_packet_done(const mac::Packet& p) {
     ++drops_;
   }
   ++done_;
-  if (complete() && on_complete_) {
-    on_complete_(*this);
-  }
 }
 
 std::vector<double> ProbeTrain::access_delays_s() const {
@@ -63,37 +59,6 @@ std::vector<TimeNs> ProbeTrain::departures() const {
     out.push_back(p.depart_time);
   }
   return out;
-}
-
-FlowDispatcher::FlowDispatcher(mac::DcfStation& station) {
-  auto route = [this](const mac::Packet& p) {
-    for (auto& [flow, handler] : handlers_) {
-      if (flow == p.flow) {
-        handler(p);
-      }
-    }
-    for (auto& handler : any_) {
-      handler(p);
-    }
-  };
-  station.set_delivery_callback(route);
-  station.set_drop_callback(route);
-}
-
-void FlowDispatcher::on_flow(int flow, Handler h) {
-  CSMABW_REQUIRE(h != nullptr, "null handler");
-  for (auto& [f, handler] : handlers_) {
-    if (f == flow) {
-      handler = std::move(h);
-      return;
-    }
-  }
-  handlers_.emplace_back(flow, std::move(h));
-}
-
-void FlowDispatcher::on_any(Handler h) {
-  CSMABW_REQUIRE(h != nullptr, "null handler");
-  any_.push_back(std::move(h));
 }
 
 }  // namespace csmabw::traffic

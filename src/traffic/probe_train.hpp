@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mac/packet.hpp"
@@ -27,14 +26,11 @@ struct TrainSpec {
 /// records (arrival a_i, head-of-queue, departure d_i) as they complete.
 ///
 /// The train is complete when all n packets have either been delivered
-/// or dropped; `on_complete` fires once at that point.  Records are in
-/// sequence order.
+/// or dropped.  Records are in sequence order.
 class ProbeTrain {
  public:
-  using CompletionCallback = std::function<void(const ProbeTrain&)>;
-
   /// `flow` must be unique among concurrently active flows on the
-  /// station (the train filters deliveries by flow id).
+  /// station (the train's packets are routed to it by flow id).
   ProbeTrain(sim::Simulator& sim, mac::DcfStation& station, TrainSpec spec,
              int flow);
 
@@ -42,10 +38,10 @@ class ProbeTrain {
   ProbeTrain& operator=(const ProbeTrain&) = delete;
 
   /// Schedules the n arrivals at `first_arrival + k * gap`.
-  void start(TimeNs first_arrival, CompletionCallback on_complete = {});
+  void start(TimeNs first_arrival);
 
-  /// Delivery hook: the owner must route the station's delivered/dropped
-  /// packets for this flow into here (see FlowDispatcher).
+  /// Completion hook: the owner registers it on the station for this
+  /// train's flow (`station.on_flow(flow, ...)`).
   void on_packet_done(const mac::Packet& p);
 
   [[nodiscard]] const TrainSpec& spec() const { return spec_; }
@@ -72,28 +68,6 @@ class ProbeTrain {
   std::vector<mac::Packet> records_;
   std::size_t done_ = 0;
   std::size_t drops_ = 0;
-  CompletionCallback on_complete_;
-};
-
-/// Routes a station's delivery/drop callbacks to per-flow handlers.
-///
-/// A DcfStation has a single delivery callback; experiments often need
-/// several flows on the same station (probe + FIFO cross-traffic).  The
-/// dispatcher owns that single callback and fans out by flow id.
-class FlowDispatcher {
- public:
-  using Handler = std::function<void(const mac::Packet&)>;
-
-  explicit FlowDispatcher(mac::DcfStation& station);
-
-  /// Registers (replaces) the handler for `flow`.
-  void on_flow(int flow, Handler h);
-  /// Registers a handler for every delivered packet regardless of flow.
-  void on_any(Handler h);
-
- private:
-  std::vector<std::pair<int, Handler>> handlers_;
-  std::vector<Handler> any_;
 };
 
 }  // namespace csmabw::traffic

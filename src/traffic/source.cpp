@@ -1,6 +1,5 @@
 #include "traffic/source.hpp"
 
-#include "traffic/probe_train.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::traffic {
@@ -85,14 +84,13 @@ void CbrSource::on_timer() {
 // --- SaturatedSource ---
 
 SaturatedSource::SaturatedSource(sim::Simulator& sim,
-                                 mac::DcfStation& station,
-                                 FlowDispatcher& dispatch, int flow,
+                                 mac::DcfStation& station, int flow,
                                  int size_bytes, int backlog)
     : Source(sim, station, flow, size_bytes), backlog_(backlog) {
   CSMABW_REQUIRE(backlog >= 1, "backlog must be >= 1");
   // One refill per completion keeps the queue depth at `backlog`
   // forever: the station never runs dry.
-  dispatch.on_flow(flow, [this](const mac::Packet&) {
+  station_.on_flow(flow, [this](const mac::Packet&) {
     if (running_) {
       emit(static_cast<int>(generated_));
     }

@@ -75,22 +75,19 @@ class CbrSource : public Source {
   std::uint64_t max_packets_;
 };
 
-class FlowDispatcher;
-
 /// Always-backlogged source: keeps `backlog` packets in the station's
 /// queue by topping it up on every delivery or drop of its flow, so the
 /// station contends permanently — the saturation workload of Bianchi's
 /// analysis and of the calibration/rate-anomaly experiments.
 ///
-/// Completion events arrive through the station's FlowDispatcher (the
-/// station has a single delivery callback; the dispatcher multiplexes
-/// it), so the source shares the station with probe trains and meters.
-/// The dispatcher must outlive the source.
+/// The source registers its refill on the station for its flow
+/// (DcfStation::on_flow), beside any probe trains and meters there.
+/// The station keeps that handler, so the source must outlive the
+/// station's run.
 class SaturatedSource : public Source {
  public:
-  SaturatedSource(sim::Simulator& sim, mac::DcfStation& station,
-                  FlowDispatcher& dispatch, int flow, int size_bytes,
-                  int backlog = 2);
+  SaturatedSource(sim::Simulator& sim, mac::DcfStation& station, int flow,
+                  int size_bytes, int backlog = 2);
 
   void start(TimeNs at) override;
 

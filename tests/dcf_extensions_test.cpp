@@ -5,7 +5,6 @@
 
 #include "mac/wlan.hpp"
 #include "traffic/flow_meter.hpp"
-#include "traffic/probe_train.hpp"
 #include "traffic/source.hpp"
 #include "util/require.hpp"
 
@@ -23,9 +22,12 @@ Packet make_packet(int flow, int seq, int bytes = 1500) {
 struct Sink {
   std::vector<Packet> delivered;
 
-  explicit Sink(DcfStation& st) {
-    st.set_delivery_callback(
-        [this](const Packet& p) { delivered.push_back(p); });
+  Sink(DcfStation& st, int flow) {
+    st.on_flow(flow, [this](const Packet& p) {
+      if (!p.dropped) {
+        delivered.push_back(p);
+      }
+    });
   }
 };
 
@@ -51,7 +53,7 @@ TEST(RtsCts, SuccessfulExchangeTiming) {
   phy.rts_threshold_bytes = 0;  // RTS for everything
   WlanNetwork net(phy, 41);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { st.enqueue(make_packet(0, 0)); });
   net.simulator().run_until(TimeNs::ms(20));
@@ -108,7 +110,7 @@ TEST(RtsCts, MixedThresholdTraffic) {
   phy.rts_threshold_bytes = 500;
   WlanNetwork net(phy, 43);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1), [&] {
     st.enqueue(make_packet(0, 0, 100));  // no RTS
   });
@@ -138,10 +140,8 @@ TEST(RateAnomaly, SlowStationDragsFastOne) {
   ss.start(TimeNs::zero());
   traffic::FlowMeter mf(TimeNs::sec(1), TimeNs::sec(9));
   traffic::FlowMeter m_slow(TimeNs::sec(1), TimeNs::sec(9));
-  traffic::FlowDispatcher df(fast);
-  traffic::FlowDispatcher ds(slow);
-  df.on_any([&](const Packet& p) { mf.on_packet(p); });
-  ds.on_any([&](const Packet& p) { m_slow.on_packet(p); });
+  fast.on_flow(0, [&](const Packet& p) { mf.on_packet(p); });
+  slow.on_flow(1, [&](const Packet& p) { m_slow.on_packet(p); });
   net.simulator().run_until(TimeNs::sec(9));
 
   const double fast_mbps = mf.rate().to_mbps();
@@ -158,7 +158,7 @@ TEST(RateAnomaly, SlowFrameAirtimeUsed) {
   WlanNetwork net(phy, 45);
   auto& st = net.add_station();
   st.set_data_rate_bps(1e6);
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { st.enqueue(make_packet(0, 0)); });
   net.simulator().run_until(TimeNs::ms(40));

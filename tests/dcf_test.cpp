@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "mac/bianchi.hpp"
 #include "mac/wlan.hpp"
 #include "traffic/flow_meter.hpp"
-#include "traffic/probe_train.hpp"
 #include "traffic/source.hpp"
 #include "util/require.hpp"
 
@@ -20,22 +20,22 @@ Packet make_packet(int flow, int seq, int bytes = 1500) {
   return p;
 }
 
-/// Collects every delivered packet of a station.
+/// Collects every finished packet of one flow on a station.
 struct Sink {
   std::vector<Packet> delivered;
   std::vector<Packet> dropped;
 
-  explicit Sink(DcfStation& st) {
-    st.set_delivery_callback(
-        [this](const Packet& p) { delivered.push_back(p); });
-    st.set_drop_callback([this](const Packet& p) { dropped.push_back(p); });
+  Sink(DcfStation& st, int flow) {
+    st.on_flow(flow, [this](const Packet& p) {
+      (p.dropped ? dropped : delivered).push_back(p);
+    });
   }
 };
 
 TEST(Dcf, LonePacketGetsImmediateAccessAfterDifs) {
   WlanNetwork net(PhyParams::dot11b_short(), 1);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { st.enqueue(make_packet(0, 0)); });
   net.simulator().run_until(TimeNs::ms(10));
@@ -55,7 +55,7 @@ TEST(Dcf, ImmediateAccessAblationAddsBackoff) {
   phy.immediate_access = false;
   WlanNetwork net(phy, 1);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { st.enqueue(make_packet(0, 0)); });
   net.simulator().run_until(TimeNs::ms(10));
@@ -73,7 +73,7 @@ TEST(Dcf, SecondQueuedPacketWaitsForAckAndBackoff) {
   const PhyParams phy = PhyParams::dot11b_short();
   WlanNetwork net(phy, 2);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1), [&] {
     st.enqueue(make_packet(0, 0));
     st.enqueue(make_packet(0, 1));
@@ -96,7 +96,7 @@ TEST(Dcf, SecondQueuedPacketWaitsForAckAndBackoff) {
 TEST(Dcf, AccessDelayIsHeadToDepart) {
   WlanNetwork net(PhyParams::dot11b_short(), 3);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { st.enqueue(make_packet(0, 0)); });
   net.simulator().run_until(TimeNs::ms(10));
@@ -116,8 +116,7 @@ TEST(Dcf, SingleSaturatedStationMatchesAnalyticRate) {
                          BitRate::mbps(20).gap_for(1500));
   src.start(TimeNs::zero());
   traffic::FlowMeter meter(TimeNs::sec(1), TimeNs::sec(5));
-  traffic::FlowDispatcher d(st);
-  d.on_any([&](const Packet& p) { meter.on_packet(p); });
+  st.on_flow(0, [&](const Packet& p) { meter.on_packet(p); });
   net.simulator().run_until(TimeNs::sec(5));
 
   EXPECT_NEAR(meter.rate().to_mbps(), phy.saturation_rate(1500).to_mbps(),
@@ -137,10 +136,8 @@ TEST(Dcf, TwoSaturatedStationsShareFairly) {
   sb.start(TimeNs::zero());
   traffic::FlowMeter ma(TimeNs::sec(1), TimeNs::sec(11));
   traffic::FlowMeter mb(TimeNs::sec(1), TimeNs::sec(11));
-  traffic::FlowDispatcher da(a);
-  traffic::FlowDispatcher db(b);
-  da.on_any([&](const Packet& p) { ma.on_packet(p); });
-  db.on_any([&](const Packet& p) { mb.on_packet(p); });
+  a.on_flow(0, [&](const Packet& p) { ma.on_packet(p); });
+  b.on_flow(1, [&](const Packet& p) { mb.on_packet(p); });
   net.simulator().run_until(TimeNs::sec(11));
 
   const double ra = ma.rate().to_mbps();
@@ -206,7 +203,7 @@ TEST(Dcf, RetryLimitDropsFrameAndContinues) {
                         BitRate::mbps(20).gap_for(1500));
   sa.start(TimeNs::zero());
   sb.start(TimeNs::zero());
-  Sink sink_a(a);
+  Sink sink_a(a, 0);
   net.simulator().run_until(TimeNs::sec(5));
 
   EXPECT_GT(a.stats().dropped + b.stats().dropped, 0u);
@@ -219,6 +216,50 @@ TEST(Dcf, RetryLimitDropsFrameAndContinues) {
   EXPECT_GT(b.stats().delivered, 0u);
 }
 
+TEST(DcfStation, RoutesFinishedPacketsToTheirFlowsHandlersInOrder) {
+  // Retry limit 0: the first collision drops the frame.
+  PhyParams phy = PhyParams::dot11b_short();
+  phy.retry_limit = 0;
+  WlanNetwork net(phy, 30);
+  auto& st = net.add_station();
+  auto& rival = net.add_station();
+  using Call = std::tuple<char, int, bool>;  // (handler, flow, dropped)
+  std::vector<Call> calls;
+  const auto logger = [&calls](char handler) {
+    return [&calls, handler](const Packet& p) {
+      calls.emplace_back(handler, p.flow, p.dropped);
+    };
+  };
+  st.on_flow(1, logger('a'));
+  st.on_flow(2, logger('c'));
+  st.on_flow(1, logger('b'));  // adds a second handler to flow 1
+
+  // Alone on the medium, one packet each of flows 1, 2 and 3 (which has
+  // no handler) is delivered.
+  net.simulator().schedule_at(TimeNs::ms(1), [&] {
+    for (int flow : {1, 2, 3}) {
+      st.enqueue(make_packet(flow, 0, 500));
+    }
+  });
+  net.simulator().run_until(TimeNs::ms(100));
+  ASSERT_EQ(st.stats().delivered, 3u);
+  EXPECT_EQ(calls,
+            (std::vector<Call>{{'a', 1, false}, {'b', 1, false},
+                               {'c', 2, false}}));
+
+  // Both stations seize the idle medium at once and collide: the frame
+  // of flow 1 is dropped and still reaches both of flow 1's handlers.
+  calls.clear();
+  net.simulator().schedule_at(TimeNs::ms(200), [&] {
+    st.enqueue(make_packet(1, 1));
+    rival.enqueue(make_packet(1, 0));
+  });
+  net.simulator().run_until(TimeNs::ms(300));
+  ASSERT_EQ(st.stats().dropped, 1u);
+  EXPECT_EQ(rival.stats().dropped, 1u);
+  EXPECT_EQ(calls, (std::vector<Call>{{'a', 1, true}, {'b', 1, true}}));
+}
+
 TEST(Dcf, BusyMediumArrivalDrawsBackoff) {
   // A packet arriving at station B while A transmits must not collide
   // with certainty: it freezes until the medium clears, then backs off.
@@ -226,8 +267,8 @@ TEST(Dcf, BusyMediumArrivalDrawsBackoff) {
   WlanNetwork net(phy, 9);
   auto& a = net.add_station();
   auto& b = net.add_station();
-  Sink sink_a(a);
-  Sink sink_b(b);
+  Sink sink_a(a, 0);
+  Sink sink_b(b, 1);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { a.enqueue(make_packet(0, 0)); });
   // Arrives mid-transmission of A's frame.
@@ -271,7 +312,7 @@ TEST(Dcf, EnqueueRejectsEmptyPacket) {
 TEST(Dcf, MediumBusyTimeAccumulates) {
   WlanNetwork net(PhyParams::dot11b_short(), 13);
   auto& st = net.add_station();
-  Sink sink(st);
+  Sink sink(st, 0);
   net.simulator().schedule_at(TimeNs::ms(1),
                               [&] { st.enqueue(make_packet(0, 0)); });
   net.simulator().run_until(TimeNs::ms(10));
@@ -290,7 +331,7 @@ TEST(Dcf, PostBackoffDelaysBackToBackArrivals) {
     phy.post_backoff = post_backoff;
     WlanNetwork net(phy, seed);
     auto& st = net.add_station();
-    Sink sink(st);
+    Sink sink(st, 0);
     net.simulator().schedule_at(TimeNs::ms(1),
                                 [&] { st.enqueue(make_packet(0, 0)); });
     // Arrives shortly after the first exchange finishes (~1.6 ms), while

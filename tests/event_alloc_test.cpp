@@ -129,14 +129,19 @@ TEST(EventAllocation, TimerRearmChurnIsHeapFree) {
 /// and counts the allocations of the second drain only: the first one
 /// grows the event slab and every station's queue to their high-water
 /// marks, and the enqueues themselves (queue growth) are not counted.
+/// Every station routes its finished packets to a counting handler,
+/// registered before the first drain, so the count covers the routing.
 void expect_heap_free_drain(topo::Topology topology) {
   const int n = topology.num_nodes();
   mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 3,
                        std::make_shared<const topo::Topology>(
                            std::move(topology)));
   std::vector<mac::DcfStation*> stations;
+  std::vector<std::uint64_t> finished(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     stations.push_back(&net.add_station());
+    std::uint64_t* count = &finished[static_cast<std::size_t>(i)];
+    stations.back()->on_flow(i, [count](const mac::Packet&) { ++*count; });
   }
   const auto fill = [&stations] {
     for (mac::DcfStation* st : stations) {
@@ -166,6 +171,8 @@ void expect_heap_free_drain(topo::Topology topology) {
   std::uint64_t delivered = 0;
   for (const mac::DcfStation* st : stations) {
     EXPECT_EQ(st->queue_length(), 0u);
+    EXPECT_EQ(finished[static_cast<std::size_t>(st->id())],
+              st->stats().delivered + st->stats().dropped);
     delivered += st->stats().delivered;
   }
   EXPECT_EQ(net.medium().stats().successes, delivered);

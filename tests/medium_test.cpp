@@ -42,10 +42,10 @@ struct Sink {
   std::vector<Packet> delivered;
   std::vector<Packet> dropped;
 
-  explicit Sink(DcfStation& st) {
-    st.set_delivery_callback(
-        [this](const Packet& p) { delivered.push_back(p); });
-    st.set_drop_callback([this](const Packet& p) { dropped.push_back(p); });
+  Sink(DcfStation& st, int flow) {
+    st.on_flow(flow, [this](const Packet& p) {
+      (p.dropped ? dropped : delivered).push_back(p);
+    });
   }
 };
 
@@ -315,8 +315,8 @@ TEST(MediumTopology, HiddenPairCollidesWithoutCarrierSenseDeferral) {
   WlanNetwork net(phy, 5, shared(Topology::hidden_pairs(2)));
   auto& a = net.add_station();
   auto& b = net.add_station();
-  Sink sink_a(a);
-  Sink sink_b(b);
+  Sink sink_a(a, 0);
+  Sink sink_b(b, 1);
 
   const TimeNs t_a = TimeNs::ms(1);
   // Well inside a's data frame (1500 bytes at 11 Mb/s is > 1 ms of air).
@@ -348,8 +348,8 @@ TEST(MediumTopology, GridCornersReuseTheChannelConcurrently) {
   for (int i = 0; i < 9; ++i) {
     stations.push_back(&net.add_station());
   }
-  Sink sink0(*stations[0]);
-  Sink sink8(*stations[8]);
+  Sink sink0(*stations[0], 0);
+  Sink sink8(*stations[8], 8);
   net.simulator().schedule_at(TimeNs::ms(1), [&] {
     stations[0]->enqueue(make_packet(0, 0));
     stations[8]->enqueue(make_packet(8, 0));

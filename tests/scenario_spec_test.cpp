@@ -229,8 +229,8 @@ TEST(Scenario, RunContentionMetersHeterogeneousStations) {
 
 TEST(Scenario, SteadyStateMetersReactiveFifoSource) {
   // Regression: the steady-state fifo meter must observe the flow
-  // without replacing the handler a reactive source (saturated)
-  // registered for it — on_flow would silently starve the flow.
+  // beside the handler a reactive source (saturated) registered for it
+  // — a meter that displaced it would silently starve the flow.
   const ScenarioConfig cfg =
       ScenarioSpec::parse("fifo=saturated").to_config(13);
   const SteadyStateResult r = Scenario(cfg).run_steady_state(

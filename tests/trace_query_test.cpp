@@ -431,13 +431,21 @@ TEST(TraceQuery, AirtimeAndCollisionSemantics) {
 TEST(TraceQuery, ReconstructingAggregationsRejectFilteredStreams) {
   const query::QueryPredicate filtered =
       query::QueryPredicate::parse("kinds=success");
+  const exp::Runner runner{exp::RunnerOptions{1, nullptr}};
   for (const char* spec :
        {"delay", "delay-hist", "airtime", "collisions", "qdepth"}) {
     const std::unique_ptr<query::Aggregation> agg =
         query::make_aggregation(spec);
-    EXPECT_THROW(agg->validate(filtered), util::PreconditionError) << spec;
-    agg->validate(query::QueryPredicate{});  // match-all is fine
+    EXPECT_THROW((void)query::run_query({}, filtered, *agg, runner),
+                 util::PreconditionError)
+        << spec;
+    // Match-all is fine.
+    (void)query::run_query({}, query::QueryPredicate{}, *agg, runner);
   }
+  // counts composes with any predicate.
+  const std::unique_ptr<query::Aggregation> counts =
+      query::make_aggregation("counts");
+  (void)query::run_query({}, filtered, *counts, runner);
 }
 
 TEST(TraceQuery, AggregationRegistryRejectsBadSpecs) {

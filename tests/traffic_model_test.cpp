@@ -92,13 +92,12 @@ std::vector<double> arrivals_of(const char* spec, double seconds,
                                 std::uint64_t seed) {
   WlanNetwork net(PhyParams::dot11b_short(), seed);
   auto& st = net.add_station();
-  FlowDispatcher dispatch(st);
   std::vector<double> arrivals;
-  dispatch.on_any([&arrivals](const mac::Packet& p) {
+  st.on_flow(0, [&arrivals](const mac::Packet& p) {
     arrivals.push_back(p.enqueue_time.to_seconds());
   });
   auto src = TrafficModelRegistry::global().create(spec)->instantiate(
-      {net.simulator(), st, dispatch, 0, 1500, net.rng("model")});
+      {net.simulator(), st, 0, 1500, net.rng("model")});
   src->start(TimeNs::zero());
   net.simulator().run_until(TimeNs::from_seconds(seconds));
   return arrivals;
@@ -162,9 +161,7 @@ TEST(OnOffSource, BurstLengthAndOffPeriodDistributions) {
 TEST(SaturatedSource, KeepsStationBacklogged) {
   WlanNetwork net(PhyParams::dot11b_short(), 92);
   auto& st = net.add_station();
-  FlowDispatcher dispatch(st);
-  SaturatedSource src(net.simulator(), st, dispatch, 0, 1500,
-                      /*backlog=*/3);
+  SaturatedSource src(net.simulator(), st, 0, 1500, /*backlog=*/3);
   src.start(TimeNs::zero());
   net.simulator().run_until(TimeNs::sec(2));
   // Every completion refills: the queue never drains below the backlog.

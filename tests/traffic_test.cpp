@@ -43,8 +43,6 @@ TEST(PoissonSource, StopHaltsArrivals) {
 TEST(CbrSource, ExactSpacingAndCount) {
   WlanNetwork net(PhyParams::dot11b_short(), 23);
   auto& st = net.add_station();
-  std::vector<TimeNs> arrivals;
-  st.set_delivery_callback([](const Packet&) {});
   CbrSource src(net.simulator(), st, 0, 1000, TimeNs::ms(5),
                 /*max_packets=*/4);
   src.start(TimeNs::ms(10));
@@ -90,13 +88,11 @@ TEST(ProbeTrain, RecordsAllPacketsInOrder) {
   spec.size_bytes = 1000;
   spec.gap = TimeNs::ms(3);
   ProbeTrain train(net.simulator(), st, spec, /*flow=*/9);
-  FlowDispatcher dispatch(st);
-  dispatch.on_flow(9, [&](const Packet& p) { train.on_packet_done(p); });
-  bool completed = false;
-  train.start(TimeNs::ms(1), [&](const ProbeTrain&) { completed = true; });
+  st.on_flow(9, [&](const Packet& p) { train.on_packet_done(p); });
+  train.start(TimeNs::ms(1));
   net.simulator().run_while_pending([&] { return train.complete(); });
 
-  EXPECT_TRUE(completed);
+  EXPECT_TRUE(train.complete());
   ASSERT_EQ(train.records().size(), 5u);
   for (int k = 0; k < 5; ++k) {
     const Packet& p = train.records()[static_cast<std::size_t>(k)];
@@ -139,46 +135,6 @@ TEST(ProbeTrain, DeparturesRequireCompletion) {
   ProbeTrain train(net.simulator(), st, spec, 0);
   EXPECT_THROW((void)train.departures(), util::PreconditionError);
   EXPECT_THROW((void)train.access_delays_s(), util::PreconditionError);
-}
-
-TEST(FlowDispatcher, RoutesByFlowAndReplacesHandlers) {
-  WlanNetwork net(PhyParams::dot11b_short(), 30);
-  auto& st = net.add_station();
-  FlowDispatcher dispatch(st);
-  int flow_a = 0;
-  int flow_b = 0;
-  int any = 0;
-  dispatch.on_flow(1, [&](const Packet&) { ++flow_a; });
-  dispatch.on_flow(2, [&](const Packet&) { ++flow_b; });
-  dispatch.on_any([&](const Packet&) { ++any; });
-
-  net.simulator().schedule_at(TimeNs::ms(1), [&] {
-    Packet p;
-    p.flow = 1;
-    p.size_bytes = 500;
-    st.enqueue(p);
-    p.flow = 2;
-    st.enqueue(p);
-    p.flow = 3;  // unrouted
-    st.enqueue(p);
-  });
-  net.simulator().run_until(TimeNs::ms(100));
-  EXPECT_EQ(flow_a, 1);
-  EXPECT_EQ(flow_b, 1);
-  EXPECT_EQ(any, 3);
-
-  // Replacing a handler redirects subsequent deliveries.
-  int replacement = 0;
-  dispatch.on_flow(1, [&](const Packet&) { ++replacement; });
-  net.simulator().schedule_at(net.simulator().now() + TimeNs::ms(1), [&] {
-    Packet p;
-    p.flow = 1;
-    p.size_bytes = 500;
-    st.enqueue(p);
-  });
-  net.simulator().run_until(net.simulator().now() + TimeNs::ms(100));
-  EXPECT_EQ(flow_a, 1);
-  EXPECT_EQ(replacement, 1);
 }
 
 TEST(FlowMeter, CountsOnlyWindowedDeliveries) {
