@@ -28,10 +28,11 @@ struct RunnerOptions {
 /// Work is handed out by an atomic cursor, so scheduling is
 /// nondeterministic — but jobs are pure functions of their index and
 /// results are placed by index, which makes every campaign output
-/// independent of the thread count.  Jobs always run on the pool's
-/// threads, one of them when there is one worker; the calling thread
-/// waits.  The first exception thrown by any job is rethrown on the
-/// calling thread after all workers drain.
+/// independent of the thread count.  Every worker runs the same loop:
+/// one worker is the calling thread itself, two or more are pool
+/// threads while the calling thread waits.  The first exception thrown
+/// by any job is rethrown on the calling thread after all workers
+/// drain.
 class Runner {
  public:
   explicit Runner(RunnerOptions opts = {});

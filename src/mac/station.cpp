@@ -152,7 +152,7 @@ void DcfStation::start_backoff(TimeNs from) {
 
 void DcfStation::tx_succeeded(TimeNs data_end, TimeNs ack_end) {
   CSMABW_REQUIRE(state_ == State::kTransmitting, "success while not transmitting");
-  finish_head(/*dropped=*/false, data_end, ack_end, ack_end);
+  finish_head(/*dropped=*/false, data_end, ack_end);
 }
 
 void DcfStation::tx_collided(TimeNs retry_from) {
@@ -160,15 +160,14 @@ void DcfStation::tx_collided(TimeNs retry_from) {
   state_ = State::kContending;
   ++retries_;
   if (retries_ > phy_.retry_limit) {
-    finish_head(/*dropped=*/true, retry_from, sim_.now(), retry_from);
+    finish_head(/*dropped=*/true, retry_from, retry_from);
     return;
   }
   cw_ = std::min(2 * (cw_ + 1) - 1, phy_.cw_max);
   start_backoff(retry_from);
 }
 
-void DcfStation::finish_head(bool dropped, TimeNs depart, TimeNs depth_at,
-                             TimeNs rejoin) {
+void DcfStation::finish_head(bool dropped, TimeNs depart, TimeNs rejoin) {
   Packet pkt = queue_.front();
   queue_.pop_front();
   pkt.dropped = dropped;
@@ -184,7 +183,7 @@ void DcfStation::finish_head(bool dropped, TimeNs depart, TimeNs depth_at,
   emit(dropped ? trace::EventKind::kDrop : trace::EventKind::kSuccess, &pkt,
        pkt.retries, depart);
   emit(trace::EventKind::kQueueDepth, nullptr,
-       static_cast<std::int32_t>(queue_.size()), depth_at);
+       static_cast<std::int32_t>(queue_.size()), sim_.now());
 
   cw_ = phy_.cw_min;
   retries_ = 0;

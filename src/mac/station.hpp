@@ -115,11 +115,10 @@ class DcfStation {
   /// `from` after DIFS.
   void start_backoff(TimeNs from);
   /// Pops the head packet, which departed at `depart` (delivered, or
-  /// dropped at the retry limit), stamps the queue depth at `depth_at`,
-  /// rejoins contention from `rejoin` (or goes idle) and hands the
-  /// packet to its flow's handlers.
-  void finish_head(bool dropped, TimeNs depart, TimeNs depth_at,
-                   TimeNs rejoin);
+  /// dropped at the retry limit), stamps the queue depth now, rejoins
+  /// contention from `rejoin` (or goes idle) and hands the packet to its
+  /// flow's handlers.
+  void finish_head(bool dropped, TimeNs depart, TimeNs rejoin);
   /// Emits `kind` to the simulator's event tap (Simulator::trace());
   /// no-op (one branch) when none is installed.  Tracing is purely
   /// observational: it never consumes randomness or perturbs timing,

@@ -85,17 +85,7 @@ class Aggregation {
       const = 0;
 };
 
-/// The built-in aggregations by name, each with a one-line help that
-/// lists its options (`trace_tool --help` prints them):
-///   counts      per-station, per-kind event counts (composes with
-///               --where)
-///   delay       per-cell transient statistics, bit-identical to the
-///               live campaign's
-///   delay-hist  access-delay histograms grouped by train position or
-///               station
-///   airtime     per-station channel-occupation time and share
-///   collisions  pairwise collision-involvement matrix
-///   qdepth      per-station time-weighted queue-depth timeline
+/// The built-in aggregations; `trace_tool --help` prints names() and help().
 [[nodiscard]] const util::SpecRegistry<Aggregation>& aggregation_registry();
 
 /// aggregation_registry().create(spec): builds an aggregation from its
